@@ -82,14 +82,14 @@ int Run() {
               manager->released.size(), manager->intermediate.rows.size());
 
   // The two alternatives §3.1 weighs.
-  const Tuple* t02 = *catalog.FindTuple(id02);
-  const Tuple* t03 = *catalog.FindTuple(id03);
+  Tuple t02 = *catalog.FindTuple(id02);
+  Tuple t03 = *catalog.FindTuple(id03);
   (void)id13;
   std::printf("\nIncrement alternatives for the blocked result:\n");
   std::printf("  raise tuple 02: 0.3 -> 0.4 gives p38 = 0.064, cost %s\n",
-              FormatCost(t02->cost_function()->Increment(0.3, 0.4)).c_str());
+              FormatCost(t02.cost_function()->Increment(0.3, 0.4)).c_str());
   std::printf("  raise tuple 03: 0.4 -> 0.5 gives p38 = 0.065, cost %s\n",
-              FormatCost(t03->cost_function()->Increment(0.4, 0.5)).c_str());
+              FormatCost(t03.cost_function()->Increment(0.4, 0.5)).c_str());
 
   std::printf("\nStrategy-finding component proposes (%s, %.4fs):\n",
               manager->proposal.algorithm.c_str(), manager->proposal.solve_seconds);

@@ -107,8 +107,8 @@ int main() {
     // Which tiers does the optimizer choose to upgrade?
     double registry_spend = 0, survey_spend = 0, records_spend = 0;
     for (const IncrementAction& a : clinical.proposal.actions) {
-      const Tuple* t = *catalog.FindTuple(a.base_tuple);
-      std::string source = *t->values().back().AsString();
+      Tuple t = *catalog.FindTuple(a.base_tuple);
+      std::string source = *t.values().back().AsString();
       if (source == "registry") registry_spend += a.cost;
       if (source == "survey") survey_spend += a.cost;
       if (source == "medical_records") records_spend += a.cost;

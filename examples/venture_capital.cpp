@@ -113,7 +113,7 @@ int main() {
   QueryOutcome after = *engine.Submit({kCandidateQuery, "mary", "investment", 1.0});
   std::printf("released %zu row(s):\n%s", after.released.size(),
               after.ReleasedTable().c_str());
-  std::printf("improvement audit log: %zu change(s), total spend %.1f\n",
-              engine.improver().log().size(), engine.improver().total_cost_spent());
+  std::printf("applied %zu change(s), total spend %.1f\n", mary.proposal.actions.size(),
+              engine.improver().total_cost_spent());
   return 0;
 }

@@ -12,8 +12,7 @@ Result<AssignmentReport> AssignConfidences(Catalog* catalog,
                                            const TrustModelOptions& options) {
   // Validate the whole mapping before writing anything.
   for (const TupleProvenance& m : mapping) {
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog->FindTuple(m.tuple));
-    (void)t;
+    PCQE_RETURN_NOT_OK(catalog->FindTuple(m.tuple).status());
     if (m.item >= graph.num_items()) {
       return Status::NotFound(StrFormat("provenance item %u not found", m.item));
     }
@@ -23,9 +22,9 @@ Result<AssignmentReport> AssignConfidences(Catalog* catalog,
   PCQE_ASSIGN_OR_RETURN(report.trust, ComputeTrust(graph, options));
 
   for (const TupleProvenance& m : mapping) {
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog->FindTuple(m.tuple));
+    PCQE_ASSIGN_OR_RETURN(Tuple t, catalog->FindTuple(m.tuple));
     double confidence =
-        std::min(report.trust.item_trust[m.item], t->max_confidence());
+        std::min(report.trust.item_trust[m.item], t.max_confidence());
     // Bulk out-of-band assignment rewrites the whole confidence baseline;
     // durable deployments must checkpoint right after (the WAL only logs
     // accepts).

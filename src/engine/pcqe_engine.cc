@@ -431,12 +431,12 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
   std::vector<BaseTupleSpec> specs;
   specs.reserve(var_ids.size());
   for (LineageVarId id : var_ids) {
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog_->FindTuple(id));
+    PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(id));
     BaseTupleSpec spec;
     spec.id = id;
-    spec.confidence = t->confidence();
-    spec.max_confidence = t->max_confidence();
-    spec.cost = t->cost_function();
+    spec.confidence = t.confidence();
+    spec.max_confidence = t.max_confidence();
+    spec.cost = t.cost_function();
     specs.push_back(std::move(spec));
   }
 
@@ -564,9 +564,9 @@ Status PcqeEngine::AcceptProposal(const StrategyProposal& proposal) {
     std::vector<WalAction> logged;
     logged.reserve(proposal.actions.size());
     for (const IncrementAction& a : proposal.actions) {
-      PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog_->FindTuple(a.base_tuple));
-      logged.push_back({a.base_tuple, t->confidence(), a.to,
-                        t->cost_function()->Increment(t->confidence(), a.to)});
+      PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(a.base_tuple));
+      logged.push_back({a.base_tuple, t.confidence(), a.to,
+                        t.cost_function()->Increment(t.confidence(), a.to)});
     }
     PCQE_RETURN_NOT_OK(storage_->LogAccept(catalog_->confidence_version(),
                                            logged));

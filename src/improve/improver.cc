@@ -7,16 +7,16 @@ namespace pcqe {
 Status QualityImprover::Validate(const std::vector<IncrementAction>& actions) const {
   // Nothing is written unless every action is applicable.
   for (const IncrementAction& a : actions) {
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog_->FindTuple(a.base_tuple));
-    if (a.to <= t->confidence() + kEpsilon) {
+    PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(a.base_tuple));
+    if (a.to <= t.confidence() + kEpsilon) {
       return Status::InvalidArgument(StrFormat(
           "improvement for tuple %llu targets %g but confidence is already %g",
-          static_cast<unsigned long long>(a.base_tuple), a.to, t->confidence()));
+          static_cast<unsigned long long>(a.base_tuple), a.to, t.confidence()));
     }
-    if (a.to > t->max_confidence() + kEpsilon) {
+    if (a.to > t.max_confidence() + kEpsilon) {
       return Status::InvalidArgument(StrFormat(
           "improvement for tuple %llu targets %g above its ceiling %g",
-          static_cast<unsigned long long>(a.base_tuple), a.to, t->max_confidence()));
+          static_cast<unsigned long long>(a.base_tuple), a.to, t.max_confidence()));
     }
   }
   return Status::OK();
@@ -26,11 +26,9 @@ Status QualityImprover::Apply(const std::vector<IncrementAction>& actions) {
   PCQE_RETURN_NOT_OK(Validate(actions));
   // Commit pass.
   for (const IncrementAction& a : actions) {
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog_->FindTuple(a.base_tuple));
-    double from = t->confidence();
-    double cost = t->cost_function()->Increment(from, a.to);
+    PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(a.base_tuple));
+    double cost = t.cost_function()->Increment(t.confidence(), a.to);
     PCQE_RETURN_NOT_OK(catalog_->SetConfidence(a.base_tuple, a.to));
-    log_.push_back({a.base_tuple, from, a.to, cost});
     total_cost_ += cost;
   }
   return Status::OK();

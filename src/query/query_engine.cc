@@ -98,8 +98,8 @@ Result<ConfidenceMap> SnapshotConfidences(const Catalog& catalog,
   ConfidenceMap map(0.0);
   for (const auto& [id, ref] : result.arena->variable_index()) {
     (void)ref;
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog.FindTuple(id));
-    map.Set(id, t->confidence());
+    PCQE_ASSIGN_OR_RETURN(Tuple t, catalog.FindTuple(id));
+    map.Set(id, t.confidence());
   }
   return map;
 }

@@ -83,7 +83,7 @@ void Catalog::Clear() {
   confidence_version_.store(0, std::memory_order_release);
 }
 
-Result<const Tuple*> Catalog::FindTuple(BaseTupleId id) const {
+Result<Tuple> Catalog::FindTuple(BaseTupleId id) const {
   uint32_t table_id = static_cast<uint32_t>(id >> 32);
   for (const auto& [key, table] : tables_) {
     (void)key;

@@ -56,7 +56,7 @@ class Catalog {
   std::vector<std::string> TableNames() const;
 
   /// Routes a catalog-wide tuple id to its tuple.
-  [[nodiscard]] Result<const Tuple*> FindTuple(BaseTupleId id) const;
+  [[nodiscard]] Result<Tuple> FindTuple(BaseTupleId id) const;
 
   /// Sets the confidence of the identified tuple (improvement component).
   /// Every successful write bumps `confidence_version()`.

@@ -55,18 +55,23 @@ void TableColumnData::Reset(const Schema& schema) {
   chunks_.clear();
 }
 
-void TableColumnData::AppendRow(const std::vector<Value>& values, double confidence) {
+void TableColumnData::AppendRow(const std::vector<Value>& values, double confidence,
+                                double max_confidence, CostFunctionPtr cost) {
   PCQE_DCHECK(values.size() == column_types_.size());
   if (OffsetOf(num_rows_) == 0) {
     auto chunk = std::make_unique<Chunk>();
     chunk->cols.reserve(column_types_.size());
     for (DataType t : column_types_) chunk->cols.emplace_back(t);
     chunk->confidences.reserve(kColumnChunkCapacity);
+    chunk->max_confidences.reserve(kColumnChunkCapacity);
+    chunk->costs.reserve(kColumnChunkCapacity);
     chunks_.push_back(std::move(chunk));
   }
   Chunk& chunk = *chunks_.back();
   for (size_t c = 0; c < values.size(); ++c) chunk.cols[c].Append(values[c]);
   chunk.confidences.push_back(confidence);
+  chunk.max_confidences.push_back(max_confidence);
+  chunk.costs.push_back(std::move(cost));
   ++num_rows_;
 }
 

@@ -1,11 +1,12 @@
 // Copyright (c) PCQE contributors.
-// Column-chunk storage: the typed, batched mirror of a table's tuples that
-// the vectorized execution core scans (see query/vec_executor.h).
+// Column-chunk storage: the one row store of a table, which the vectorized
+// execution core scans in place (see query/vec_executor.h).
 //
 // Layout follows the in-memory column-chunk design of modern factorized
 // engines: a table is a sequence of fixed-capacity chunks; each chunk holds
-// one typed value vector per column plus a per-chunk confidence vector
-// aligned row-for-row with the values. Tuple ids are implicit —
+// one typed value vector per column plus per-chunk confidence, ceiling and
+// cost-function vectors aligned row-for-row with the values. Tuple ids are
+// implicit —
 // `(table_id << 32) | row` exactly as relational/table.h assigns them — so
 // a chunk never stores ids, and a scan's factorized lineage column is just
 // the row range.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "cost/cost_function.h"
 #include "relational/schema.h"
 #include "relational/value.h"
 
@@ -82,12 +84,12 @@ class ColumnChunk {
   std::vector<std::string> strings_;
 };
 
-/// \brief The columnar mirror of one table: chunked typed columns plus
-/// per-chunk confidence vectors.
+/// \brief The row store of one table: chunked typed columns plus per-chunk
+/// confidence, ceiling and cost-function vectors.
 ///
-/// Maintained incrementally by `Table::Insert` / `Table::SetConfidence`, so
-/// a scan never transposes: it borrows these arrays zero-copy. Row indices
-/// are table row indices (the low 32 bits of the `BaseTupleId`).
+/// Written only by `Table::Insert` / `Table::SetConfidence`, so a scan never
+/// transposes: it borrows these arrays zero-copy. Row indices are table row
+/// indices (the low 32 bits of the `BaseTupleId`).
 class TableColumnData {
  public:
   TableColumnData() = default;
@@ -118,6 +120,16 @@ class TableColumnData {
     return chunks_[ChunkOf(row)]->confidences[OffsetOf(row)];
   }
 
+  /// Confidence ceiling of table row `row`.
+  double max_confidence(size_t row) const {
+    return chunks_[ChunkOf(row)]->max_confidences[OffsetOf(row)];
+  }
+
+  /// Cost function of table row `row`; never null.
+  const CostFunctionPtr& cost(size_t row) const {
+    return chunks_[ChunkOf(row)]->costs[OffsetOf(row)];
+  }
+
   /// Boxed value of (`col`, table row `row`).
   Value value(size_t col, size_t row) const {
     return chunks_[ChunkOf(row)]->cols[col].ValueAt(OffsetOf(row));
@@ -129,9 +141,10 @@ class TableColumnData {
   }
 
   /// Appends one row (called by `Table::Insert` after validation).
-  void AppendRow(const std::vector<Value>& values, double confidence);
+  void AppendRow(const std::vector<Value>& values, double confidence,
+                 double max_confidence, CostFunctionPtr cost);
 
-  /// Mirrors a confidence write (called by `Table::SetConfidence`).
+  /// Overwrites the confidence of `row` (called by `Table::SetConfidence`).
   void StoreConfidence(size_t row, double confidence) {
     PCQE_DCHECK(row < num_rows_);
     chunks_[ChunkOf(row)]->confidences[OffsetOf(row)] = confidence;
@@ -141,6 +154,8 @@ class TableColumnData {
   struct Chunk {
     std::vector<ColumnChunk> cols;
     std::vector<double> confidences;
+    std::vector<double> max_confidences;
+    std::vector<CostFunctionPtr> costs;
   };
 
   std::vector<DataType> column_types_;

@@ -272,14 +272,16 @@ std::string ExportCsv(const Table& table, const CsvOptions& options) {
     }
     out += '\n';
   }
-  for (const Tuple& t : table.tuples()) {
-    for (size_t c = 0; c < t.values().size(); ++c) {
+  const TableColumnData& data = table.column_data();
+  for (size_t row = 0; row < data.num_rows(); ++row) {
+    for (size_t c = 0; c < data.num_columns(); ++c) {
       if (c > 0) out += d;
-      out += t.value(c).is_null() ? "" : CsvQuote(t.value(c).ToString(), d);
+      Value v = data.value(c, row);
+      out += v.is_null() ? "" : CsvQuote(v.ToString(), d);
     }
     if (!options.confidence_column.empty()) {
-      if (!t.values().empty()) out += d;
-      out += FormatDouble(t.confidence(), 6);
+      if (data.num_columns() > 0) out += d;
+      out += FormatDouble(data.confidence(row), 6);
     }
     out += '\n';
   }

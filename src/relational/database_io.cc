@@ -130,8 +130,10 @@ Status SaveDatabase(const Catalog& catalog, const std::string& dir) {
       csv += CsvQuote(table->schema().column(c).name) + ",";
     }
     csv += "__confidence,__max_confidence,__cost\n";
-    for (const Tuple& t : table->tuples()) {
-      for (const Value& v : t.values()) {
+    const TableColumnData& data = table->column_data();
+    for (size_t row = 0; row < data.num_rows(); ++row) {
+      for (size_t c = 0; c < data.num_columns(); ++c) {
+        Value v = data.value(c, row);
         std::string field;
         if (!v.is_null()) {
           field = v.type() == DataType::kDouble ? PreciseDouble(*v.AsDouble())
@@ -139,8 +141,9 @@ Status SaveDatabase(const Catalog& catalog, const std::string& dir) {
         }
         csv += CsvQuote(field) + ",";
       }
-      csv += PreciseDouble(t.confidence()) + "," + PreciseDouble(t.max_confidence()) +
-             "," + CsvQuote(t.cost_function()->ToString()) + "\n";
+      csv += PreciseDouble(data.confidence(row)) + "," +
+             PreciseDouble(data.max_confidence(row)) + "," +
+             CsvQuote(data.cost(row)->ToString()) + "\n";
     }
     PCQE_RETURN_NOT_OK(WriteFile(dir + "/" + name + ".csv", csv));
   }

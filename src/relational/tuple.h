@@ -1,82 +1,17 @@
 // Copyright (c) PCQE contributors.
-// Confidence-annotated base tuples — element (1) of the paper's framework.
+// Base-tuple identifiers. The `Tuple` row view itself lives in
+// relational/table.h, next to the table whose column chunks it reads.
 
 #ifndef PCQE_RELATIONAL_TUPLE_H_
 #define PCQE_RELATIONAL_TUPLE_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/math_util.h"
-#include "cost/cost_function.h"
-#include "relational/value.h"
 
 namespace pcqe {
 
 /// Catalog-wide identifier of a base tuple. The lineage layer uses these ids
 /// as boolean variables ("p02", "p13" in the paper's running example).
 using BaseTupleId = uint64_t;
-
-/// Sentinel for "no tuple".
-inline constexpr BaseTupleId kInvalidBaseTupleId = ~0ULL;
-
-/// \brief One stored row: values plus the paper's confidence annotations.
-///
-/// Beyond the row data, a base tuple carries
-/// - `confidence`: trustworthiness in [0, 1] (assigned by the confidence
-///   assignment component, e.g. the provenance technique of Dai et al. 2008);
-/// - `max_confidence`: the ceiling achievable by quality improvement (the
-///   paper's "1 or its maximum possible confidence level");
-/// - a `CostFunction` pricing confidence increments for this tuple.
-class Tuple {
- public:
-  Tuple() = default;
-
-  /// Constructs a tuple with the given payload. `confidence` is clamped to
-  /// [0, max_confidence]; a null `cost` falls back to `DefaultCostFunction()`.
-  Tuple(BaseTupleId id, std::vector<Value> values, double confidence,
-        CostFunctionPtr cost = nullptr, double max_confidence = 1.0)
-      : id_(id),
-        values_(std::move(values)),
-        max_confidence_(ClampProbability(max_confidence)),
-        confidence_(std::min(ClampProbability(confidence), max_confidence_)),
-        cost_(cost ? std::move(cost) : DefaultCostFunction()) {}
-
-  /// Catalog-wide id.
-  BaseTupleId id() const { return id_; }
-
-  /// Row payload.
-  const std::vector<Value>& values() const { return values_; }
-
-  /// Value of column `i`; `i` must be in range.
-  const Value& value(size_t i) const { return values_[i]; }
-
-  /// Current confidence in [0, max_confidence].
-  double confidence() const { return confidence_; }
-
-  /// Ceiling for quality improvement.
-  double max_confidence() const { return max_confidence_; }
-
-  /// Cost model for raising this tuple's confidence; never null.
-  const CostFunctionPtr& cost_function() const { return cost_; }
-
-  /// Sets the confidence, clamped into [0, max_confidence]. Only the data
-  /// quality improvement component should call this on stored tuples.
-  void set_confidence(double confidence) {
-    confidence_ = std::min(ClampProbability(confidence), max_confidence_);
-  }
-
-  /// "(v1, v2, ...) @ p=<confidence>" for diagnostics.
-  std::string ToString() const;
-
- private:
-  BaseTupleId id_ = kInvalidBaseTupleId;
-  std::vector<Value> values_;
-  double max_confidence_ = 1.0;
-  double confidence_ = 0.0;
-  CostFunctionPtr cost_;
-};
 
 }  // namespace pcqe
 

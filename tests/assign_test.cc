@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "assign/assigner.h"
 #include "assign/provenance.h"
 #include "assign/trust_model.h"
@@ -216,15 +218,15 @@ TEST_F(AssignerTest, WritesComputedConfidences) {
   AssignmentReport report = *AssignConfidences(
       &catalog_, graph_, {{id_a_, item_a_}, {id_b_, item_b_}});
   EXPECT_TRUE(report.trust.converged);
-  const Tuple* a = *catalog_.FindTuple(id_a_);
-  EXPECT_NEAR(a->confidence(), report.trust.item_trust[item_a_], 1e-12);
-  EXPECT_GT(a->confidence(), 0.7);  // corroborated by the agreeing peer
+  Tuple a = *catalog_.FindTuple(id_a_);
+  EXPECT_NEAR(a.confidence(), report.trust.item_trust[item_a_], 1e-12);
+  EXPECT_GT(a.confidence(), 0.7);  // corroborated by the agreeing peer
 }
 
 TEST_F(AssignerTest, RespectsTupleCeiling) {
   (void)*AssignConfidences(&catalog_, graph_, {{id_b_, item_b_}});
-  const Tuple* b = *catalog_.FindTuple(id_b_);
-  EXPECT_DOUBLE_EQ(b->confidence(), 0.3);  // capped despite higher trust
+  Tuple b = *catalog_.FindTuple(id_b_);
+  EXPECT_DOUBLE_EQ(b.confidence(), 0.3);  // capped despite higher trust
 }
 
 TEST_F(AssignerTest, ValidatesBeforeWriting) {
@@ -232,7 +234,7 @@ TEST_F(AssignerTest, ValidatesBeforeWriting) {
   auto r = AssignConfidences(&catalog_, graph_,
                              {{id_a_, item_a_}, {id_a_ + 12345, item_b_}});
   EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_DOUBLE_EQ((*catalog_.FindTuple(id_a_))->confidence(), 0.0);
+  EXPECT_DOUBLE_EQ(catalog_.FindTuple(id_a_)->confidence(), 0.0);
 
   auto r2 = AssignConfidences(&catalog_, graph_, {{id_a_, 999}});
   EXPECT_TRUE(r2.status().IsNotFound());

@@ -57,24 +57,24 @@ TEST(ImportCsvTest, InfersTypes) {
   EXPECT_EQ(s.column(2).type, DataType::kDouble);
   EXPECT_EQ(s.column(3).type, DataType::kBool);
   ASSERT_EQ(t->num_tuples(), 2u);
-  EXPECT_EQ(t->tuple(0).value(1), Value::Int(30));
-  EXPECT_EQ(t->tuple(1).value(3), Value::Bool(false));
+  EXPECT_EQ(t->tuples()[0].value(1), Value::Int(30));
+  EXPECT_EQ(t->tuples()[1].value(3), Value::Bool(false));
   // Default confidence 1.0 without a confidence column.
-  EXPECT_DOUBLE_EQ(t->tuple(0).confidence(), 1.0);
+  EXPECT_DOUBLE_EQ(t->tuples()[0].confidence(), 1.0);
 }
 
 TEST(ImportCsvTest, MixedNumbersWidenToDouble) {
   Catalog catalog;
   Table* t = *ImportCsv(&catalog, "t", "x\n1\n2.5\n");
   EXPECT_EQ(t->schema().column(0).type, DataType::kDouble);
-  EXPECT_EQ(t->tuple(0).value(0), Value::Double(1.0));
+  EXPECT_EQ(t->tuples()[0].value(0), Value::Double(1.0));
 }
 
 TEST(ImportCsvTest, EmptyFieldsBecomeNull) {
   Catalog catalog;
   Table* t = *ImportCsv(&catalog, "t", "x,y\n1,\n,b\n");
-  EXPECT_TRUE(t->tuple(0).value(1).is_null());
-  EXPECT_TRUE(t->tuple(1).value(0).is_null());
+  EXPECT_TRUE(t->tuples()[0].value(1).is_null());
+  EXPECT_TRUE(t->tuples()[1].value(0).is_null());
   EXPECT_EQ(t->schema().column(0).type, DataType::kInt64);
 }
 
@@ -84,8 +84,8 @@ TEST(ImportCsvTest, ConfidenceColumnConsumed) {
   options.confidence_column = "conf";
   Table* t = *ImportCsv(&catalog, "t", "name,conf\nann,0.3\nbob,0.8\n", options);
   EXPECT_EQ(t->schema().num_columns(), 1u);  // conf stripped from data
-  EXPECT_DOUBLE_EQ(t->tuple(0).confidence(), 0.3);
-  EXPECT_DOUBLE_EQ(t->tuple(1).confidence(), 0.8);
+  EXPECT_DOUBLE_EQ(t->tuples()[0].confidence(), 0.3);
+  EXPECT_DOUBLE_EQ(t->tuples()[1].confidence(), 0.8);
 }
 
 TEST(ImportCsvTest, MissingConfidenceColumnIsError) {
@@ -125,7 +125,7 @@ TEST(ImportCsvTest, DefaultCostFunctionAttached) {
   CsvOptions options;
   options.default_cost = *MakeLinearCost(500.0);
   Table* t = *ImportCsv(&catalog, "t", "x\n1\n", options);
-  EXPECT_NEAR(t->tuple(0).cost_function()->Increment(0.0, 0.1), 50.0, 1e-9);
+  EXPECT_NEAR(t->tuples()[0].cost_function()->Increment(0.0, 0.1), 50.0, 1e-9);
 }
 
 TEST(ExportCsvTest, RoundTripsWithConfidence) {
@@ -146,9 +146,9 @@ TEST(ExportCsvTest, RoundTripsWithConfidence) {
   Catalog catalog2;
   Table* t2 = *ImportCsv(&catalog2, "t", exported, options);
   ASSERT_EQ(t2->num_tuples(), 2u);
-  EXPECT_EQ(t2->tuple(1).value(0), Value::String("has\"quote, comma\nand newline"));
-  EXPECT_DOUBLE_EQ(t2->tuple(0).confidence(), 0.3);
-  EXPECT_DOUBLE_EQ(t2->tuple(1).confidence(), 0.9);
+  EXPECT_EQ(t2->tuples()[1].value(0), Value::String("has\"quote, comma\nand newline"));
+  EXPECT_DOUBLE_EQ(t2->tuples()[0].confidence(), 0.3);
+  EXPECT_DOUBLE_EQ(t2->tuples()[1].confidence(), 0.9);
 }
 
 TEST(ImportCsvTest, BareQuoteMidFieldIsParseError) {
@@ -174,7 +174,7 @@ TEST(CsvFileTest, FileRoundTrip) {
   Catalog catalog2;
   Table* t2 = *ImportCsvFile(&catalog2, "t", path);
   ASSERT_EQ(t2->num_tuples(), 1u);
-  EXPECT_EQ(t2->tuple(0).value(0), Value::Int(7));
+  EXPECT_EQ(t2->tuples()[0].value(0), Value::Int(7));
   EXPECT_TRUE(ImportCsvFile(&catalog2, "u", "/nonexistent/file.csv").status().IsNotFound());
 }
 

@@ -73,16 +73,16 @@ TEST(DatabaseIoTest, RoundTripsTablesRowsAndAnnotations) {
 
   const Table* lt = *loaded.GetTable("mixed");
   ASSERT_EQ(lt->num_tuples(), 2u);
-  EXPECT_EQ(lt->tuple(0).value(0), Value::String("quote\" and, comma"));
-  EXPECT_EQ(lt->tuple(0).value(1), Value::Int(-7));
-  EXPECT_DOUBLE_EQ(*lt->tuple(0).value(2).AsDouble(), 0.1234567890123456);
-  EXPECT_EQ(lt->tuple(0).value(3), Value::Bool(true));
-  EXPECT_DOUBLE_EQ(lt->tuple(0).confidence(), 0.37);
-  EXPECT_DOUBLE_EQ(lt->tuple(0).max_confidence(), 0.9);
-  EXPECT_EQ(lt->tuple(0).cost_function()->family(), CostFamily::kExponential);
-  EXPECT_NEAR(lt->tuple(0).cost_function()->Level(0.5),
-              t->tuple(0).cost_function()->Level(0.5), 1e-12);
-  EXPECT_TRUE(lt->tuple(1).value(0).is_null());
+  EXPECT_EQ(lt->tuples()[0].value(0), Value::String("quote\" and, comma"));
+  EXPECT_EQ(lt->tuples()[0].value(1), Value::Int(-7));
+  EXPECT_DOUBLE_EQ(*lt->tuples()[0].value(2).AsDouble(), 0.1234567890123456);
+  EXPECT_EQ(lt->tuples()[0].value(3), Value::Bool(true));
+  EXPECT_DOUBLE_EQ(lt->tuples()[0].confidence(), 0.37);
+  EXPECT_DOUBLE_EQ(lt->tuples()[0].max_confidence(), 0.9);
+  EXPECT_EQ(lt->tuples()[0].cost_function()->family(), CostFamily::kExponential);
+  EXPECT_NEAR(lt->tuples()[0].cost_function()->Level(0.5),
+              t->tuples()[0].cost_function()->Level(0.5), 1e-12);
+  EXPECT_TRUE(lt->tuples()[1].value(0).is_null());
 
   const Table* le = *loaded.GetTable("empty");
   EXPECT_EQ(le->num_tuples(), 0u);
@@ -99,7 +99,7 @@ TEST(DatabaseIoTest, SchemaTypesAreAuthoritative) {
   ASSERT_TRUE(SaveDatabase(catalog, dir).ok());
   Catalog loaded;
   ASSERT_TRUE(LoadDatabase(dir, &loaded).ok());
-  EXPECT_EQ((*loaded.GetTable("codes"))->tuple(0).value(0), Value::String("123"));
+  EXPECT_EQ((*loaded.GetTable("codes"))->tuples()[0].value(0), Value::String("123"));
 }
 
 TEST(DatabaseIoTest, MissingManifestIsNotFound) {
@@ -154,7 +154,7 @@ TEST(DatabaseIoTest, QueriesWorkAfterReload) {
   ASSERT_TRUE(LoadDatabase(dir, &loaded).ok());
   // (Exercised through the query engine in engine_integration_test-style
   // usage; here we just verify confidences flowed through.)
-  EXPECT_DOUBLE_EQ((*loaded.GetTable("p"))->tuple(0).confidence(), 0.4);
+  EXPECT_DOUBLE_EQ((*loaded.GetTable("p"))->tuples()[0].confidence(), 0.4);
 }
 
 TEST(DatabaseIoTest, RejectsNonNumericConfidenceCells) {
@@ -217,8 +217,8 @@ TEST(DatabaseIoTest, HeaderRoundTripsConfidenceVersionAndTableIds) {
   EXPECT_EQ(loaded.confidence_version(), 3u);
   // Tuple ids are reproduced exactly: persisted BaseTupleIds (WAL actions,
   // lineage references) keep resolving to the same tuples.
-  EXPECT_DOUBLE_EQ((*loaded.FindTuple(id_a))->confidence(), 0.7);
-  EXPECT_DOUBLE_EQ((*loaded.FindTuple(id_b))->confidence(), 0.6);
+  EXPECT_DOUBLE_EQ(loaded.FindTuple(id_a)->confidence(), 0.7);
+  EXPECT_DOUBLE_EQ(loaded.FindTuple(id_b)->confidence(), 0.6);
   EXPECT_EQ((*loaded.GetTable("a"))->table_id(), a->table_id());
   EXPECT_EQ((*loaded.GetTable("b"))->table_id(), b->table_id());
   // Fresh table ids continue past the restored ones (no aliasing).

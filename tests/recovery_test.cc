@@ -63,7 +63,7 @@ struct Incarnation {
 
   std::vector<double> Confidences() const {
     std::vector<double> out;
-    for (BaseTupleId id : ids) out.push_back((*catalog.FindTuple(id))->confidence());
+    for (BaseTupleId id : ids) out.push_back(catalog.FindTuple(id)->confidence());
     return out;
   }
 

@@ -55,12 +55,12 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
       Deliberate out-of-band writers (bulk assignment, tests' seams) may
       suppress with `// pcqe-lint: allow(durability)` and must be followed
       by a fresh checkpoint before the next crash matters.
-  [vectorized]            No per-row `Tuple` construction or `tuples()`
-      row-vector access inside the vectorized operator files
-      (src/query/vec_executor.*). The vectorized engine's whole point is
-      that hot loops touch column chunks and selection vectors; a Tuple in
-      an operator re-introduces the per-row boxing the engine exists to
-      avoid. Boxing belongs at the boundary (QueryResult::MaterializeValues
+  [vectorized]            No per-row `Tuple` view or `tuples()` row access
+      inside the vectorized operator files (src/query/vec_executor.*). The
+      vectorized engine's whole point is that hot loops touch column chunks
+      and selection vectors; a `Tuple` view boxes its values on every read,
+      so one in an operator re-introduces the per-row boxing the engine
+      exists to avoid. Boxing belongs at the boundary (QueryResult::MaterializeValues
       / MaterializeLineage), not in operators. Deliberate boundary code in
       those files may suppress with `// pcqe-lint: allow(vectorized)`.
   [pushdown]              No hand-rolled confidence-vs-β comparisons in src/
@@ -317,8 +317,8 @@ def lint_file(relpath, lines, status_fns):
 
         # -- vectorized ----------------------------------------------------
         # The vectorized operators must stay columnar: any Tuple mention or
-        # tuples() row-vector access in vec_executor.* is per-row boxing
-        # smuggled back into the chunk loops.
+        # tuples() row access in vec_executor.* is per-row boxing smuggled
+        # back into the chunk loops.
         if relpath.startswith("src/query/vec_executor") and \
                 not _allowed(raw, "vectorized"):
             if re.search(r"\bTuple\b", code):
@@ -330,7 +330,7 @@ def lint_file(relpath, lines, status_fns):
             elif re.search(r"(\.|->)\s*tuples\s*\(\s*\)", code):
                 out.append(Violation(
                     relpath, i, "vectorized",
-                    "tuples() row-vector access in a vectorized operator "
+                    "tuples() row access in a vectorized operator "
                     "file; read per-column chunk data "
                     "(Table::column_data()) instead of boxed rows"))
 
