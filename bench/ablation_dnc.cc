@@ -65,7 +65,7 @@ int Run() {
   for (size_t tau : {size_t{0}, size_t{6}, size_t{12}, size_t{24}}) {
     DncOptions options;
     options.tau = tau;
-    options.heuristic_max_seconds = 0.1;  // keep the sweep bounded
+    options.heuristic_max_nodes = 200'000;  // keep the sweep bounded
     Stopwatch timer;
     auto s = SolveDnc(*problem, options);
     if (!s.ok()) return 1;

@@ -8,8 +8,10 @@
 // single heuristic beating Naive and All improving by a factor of ~60.
 
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.h"
+#include "common/deadline.h"
 #include "common/stopwatch.h"
 #include "strategy/heuristic.h"
 #include "workload/generator.h"
@@ -80,7 +82,10 @@ int Run() {
         return 1;
       }
       HeuristicOptions options = variant.options;
-      options.max_seconds = 300.0;
+      // Safety net only. The infinite bound keeps the search unprimed: a
+      // deadline without a bound would seed it with the greedy plan.
+      options.initial_upper_bound = std::numeric_limits<double>::infinity();
+      options.deadline = Deadline::AfterSeconds(300.0);
       Stopwatch timer;
       auto solution = SolveHeuristic(*problem, options);
       if (!solution.ok()) {

@@ -7,8 +7,10 @@
 // helps pruning the search space from the beginning").
 
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.h"
+#include "common/deadline.h"
 #include "common/stopwatch.h"
 #include "strategy/greedy.h"
 #include "strategy/heuristic.h"
@@ -81,7 +83,10 @@ int Run() {
       if (!greedy.ok()) return 1;
 
       HeuristicOptions unbounded_options = variant.options;
-      unbounded_options.max_seconds = 300.0;
+      // Safety net only. The infinite bound keeps this search unprimed: a
+      // deadline without a bound would seed it with the greedy plan.
+      unbounded_options.initial_upper_bound = std::numeric_limits<double>::infinity();
+      unbounded_options.deadline = Deadline::AfterSeconds(300.0);
       Stopwatch timer;
       auto unbounded = SolveHeuristic(*problem, unbounded_options);
       if (!unbounded.ok()) return 1;
@@ -90,6 +95,7 @@ int Run() {
       HeuristicOptions bounded_options = unbounded_options;
       bounded_options.initial_upper_bound = greedy->total_cost;
       bounded_options.initial_assignment = greedy->new_confidence;
+      bounded_options.deadline = Deadline::AfterSeconds(300.0);
       timer.Restart();
       auto bounded = SolveHeuristic(*problem, bounded_options);
       if (!bounded.ok()) return 1;

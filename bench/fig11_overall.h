@@ -13,9 +13,11 @@
 #define PCQE_BENCH_FIG11_OVERALL_H_
 
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 #include "bench_common.h"
+#include "common/deadline.h"
 #include "common/stopwatch.h"
 #include "strategy/dnc.h"
 #include "strategy/greedy.h"
@@ -91,7 +93,10 @@ inline int RunOverallSweep(std::vector<OverallRow>* rows) {
       // thread-count story.
       HeuristicOptions options;
       options.parallelism.threads = 1;
-      options.max_seconds = 120.0;
+      // Safety net only. The infinite bound keeps the search unprimed: a
+      // deadline without a bound would seed it with the greedy plan.
+      options.initial_upper_bound = std::numeric_limits<double>::infinity();
+      options.deadline = Deadline::AfterSeconds(120.0);
       Stopwatch timer;
       auto s = SolveHeuristic(*problem, options);
       if (!s.ok()) return 1;

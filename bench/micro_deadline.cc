@@ -5,9 +5,11 @@
 // degrade gracefully (cost drifts up toward the greedy bound as the budget
 // shrinks) while staying feasible, never erroring.
 //
-// The heuristic rows mirror the engine's pressure path: the search is primed
-// with a greedy incumbent (upper bound + assignment), so an expiring deadline
-// falls back to a feasible plan instead of an empty one. The D&C rows get
+// The heuristic rows prime the search with a greedy incumbent (upper bound +
+// assignment) computed outside the budget, so an expiring deadline falls back
+// to a feasible plan instead of an empty one. Because the bound is supplied,
+// SolveHeuristic's own deadline priming stays off and its 10 ms early return
+// never fires: every row spends its whole budget searching. The D&C rows get
 // the same guarantee from SolveDnc itself: under a finite deadline it runs
 // a deadline-bounded greedy primer and falls back to that incumbent when
 // the budget kills the fill mid-raise, so the `feasible` column should stay

@@ -4,12 +4,16 @@
 // instance (multi-root branch-and-bound), each at 1/2/4/8 lanes. The paper's
 // figures are reproduced single-lane elsewhere; this binary owns the
 // thread-count story and doubles as the determinism smoke check: the D&C cost
-// must be bit-identical across every lane count, and the heuristic cost must
-// match to 1e-9 (both searches are complete, so both land on the optimum).
+// and every `SolverEffort` counter must be bit-identical across every lane
+// count (each group's exact pass stops on a node budget, never on wall
+// clock), and the heuristic cost must match to 1e-9 (both searches are
+// complete, so both land on the optimum).
 //
 // Emits one machine-readable line per (solver, threads) cell:
 //   BENCH {"bench":"micro_parallel","solver":...,"threads":...,"seconds":...,
-//          "cost":...,"speedup_vs_1":...,"cost_matches_1":...}
+//          "cost":...,"nodes_expanded":...,"speedup_vs_1":...,
+//          "cost_matches_1":...}
+// For D&C, `cost_matches_1` also requires equal effort counters.
 // Unknown argv (e.g. --benchmark_min_time from scripts/check.sh smoke runs)
 // is ignored; this is a plain binary, not a google-benchmark one.
 //
@@ -18,10 +22,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/deadline.h"
 #include "common/stopwatch.h"
 #include "strategy/dnc.h"
 #include "strategy/heuristic.h"
@@ -34,13 +40,14 @@ namespace {
 constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
 
 void EmitLine(const char* solver, size_t data_size, size_t threads,
-              double seconds, double cost, double baseline_seconds,
-              bool cost_matches) {
+              double seconds, const IncrementSolution& s,
+              double baseline_seconds, bool cost_matches) {
   std::printf(
       "BENCH {\"bench\":\"micro_parallel\",\"solver\":\"%s\","
       "\"data_size\":%zu,\"threads\":%zu,\"seconds\":%.4f,\"cost\":%.6f,"
-      "\"speedup_vs_1\":%.2f,\"cost_matches_1\":%s}\n",
-      solver, data_size, threads, seconds, cost,
+      "\"nodes_expanded\":%llu,\"speedup_vs_1\":%.2f,\"cost_matches_1\":%s}\n",
+      solver, data_size, threads, seconds, s.total_cost,
+      static_cast<unsigned long long>(s.effort.nodes_expanded),
       seconds > 0.0 && baseline_seconds > 0.0 ? baseline_seconds / seconds
                                               : 1.0,
       cost_matches ? "true" : "false");
@@ -67,6 +74,7 @@ int SweepDnc(size_t data_size, TablePrinter* table) {
 
   double baseline_seconds = 0.0;
   double baseline_cost = 0.0;
+  SolverEffort baseline_effort;
   for (size_t threads : kThreadSweep) {
     DncOptions options;
     options.parallelism.threads = threads;
@@ -80,12 +88,13 @@ int SweepDnc(size_t data_size, TablePrinter* table) {
     if (threads == 1) {
       baseline_seconds = seconds;
       baseline_cost = s->total_cost;
+      baseline_effort = s->effort;
     }
     // The D&C fan-out replays the sequential arithmetic in the same combine
-    // order: the cost is bit-identical across lane counts, not just close.
-    bool matches = s->total_cost == baseline_cost;
-    EmitLine("dnc", data_size, threads, seconds, s->total_cost,
-             baseline_seconds, matches);
+    // order: the cost is bit-identical across lane counts, not just close,
+    // and so is every effort counter.
+    bool matches = s->total_cost == baseline_cost && s->effort == baseline_effort;
+    EmitLine("dnc", data_size, threads, seconds, *s, baseline_seconds, matches);
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   seconds > 0.0 ? baseline_seconds / seconds : 1.0);
@@ -94,8 +103,11 @@ int SweepDnc(size_t data_size, TablePrinter* table) {
                    matches ? "yes" : "NO"});
     if (!matches) {
       std::fprintf(stderr,
-                   "FAIL: dnc cost diverged at %zu threads (%.9f vs %.9f)\n",
-                   threads, s->total_cost, baseline_cost);
+                   "FAIL: dnc diverged at %zu threads (cost %.9f vs %.9f, "
+                   "nodes_expanded %llu vs %llu)\n",
+                   threads, s->total_cost, baseline_cost,
+                   static_cast<unsigned long long>(s->effort.nodes_expanded),
+                   static_cast<unsigned long long>(baseline_effort.nodes_expanded));
       return 1;
     }
   }
@@ -121,7 +133,10 @@ int SweepHeuristic(TablePrinter* table) {
   for (size_t threads : kThreadSweep) {
     HeuristicOptions options;
     options.parallelism.threads = threads;
-    options.max_seconds = 300.0;
+    // Safety net only. The infinite bound keeps the search unprimed: a
+    // deadline without a bound would seed it with the greedy plan.
+    options.initial_upper_bound = std::numeric_limits<double>::infinity();
+    options.deadline = Deadline::AfterSeconds(300.0);
     Stopwatch timer;
     auto s = SolveHeuristic(*problem, options);
     if (!s.ok()) return 1;
@@ -134,8 +149,8 @@ int SweepHeuristic(TablePrinter* table) {
     // timing differs across lanes, hence tolerance instead of equality.
     bool matches = s->search_complete &&
                    std::abs(s->total_cost - baseline_cost) <= 1e-9;
-    EmitLine("heuristic", params.num_base_tuples, threads, seconds,
-             s->total_cost, baseline_seconds, matches);
+    EmitLine("heuristic", params.num_base_tuples, threads, seconds, *s,
+             baseline_seconds, matches);
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   seconds > 0.0 ? baseline_seconds / seconds : 1.0);
@@ -170,8 +185,8 @@ int Run() {
   }
   std::printf("micro_parallel (scale=%s): solver thread sweep 1/2/4/8\n",
               ScaleName(scale));
-  std::printf("note: speedups depend on available cores; costs must match "
-              "regardless.\n\n");
+  std::printf("note: speedups depend on available cores; costs (and D&C "
+              "effort counters) must match regardless.\n\n");
 
   TablePrinter table({"solver", "size", "threads", "time", "cost",
                       "speedup_vs_1", "cost==1-lane"});

@@ -204,7 +204,8 @@ std::optional<double> PcqeEngine::ResolvePushdownBeta(
 
 Result<size_t> PcqeEngine::FilterOne(const QueryRequest& request, QueryOutcome* outcome,
                                      std::vector<size_t>* blocked) const {
-  if (request.required_fraction < 0.0 || request.required_fraction > 1.0) {
+  if (!std::isfinite(request.required_fraction) || request.required_fraction < 0.0 ||
+      request.required_fraction > 1.0) {
     return Status::InvalidArgument(
         StrFormat("required_fraction %g outside [0, 1]", request.required_fraction));
   }
@@ -462,33 +463,6 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
         heuristic_options.parallelism = lanes;
         heuristic_options.deadline = deadline;
         heuristic_options.cancel = cancel;
-        if (greedy_fallback_under_pressure && !deadline.infinite() &&
-            problem.is_monotone()) {
-          // Prime the exact search with a fast greedy incumbent: B&B then
-          // only explores subtrees that can beat it, and if the deadline
-          // lands mid-search the incumbent is already a feasible anytime
-          // answer. When the greedy pass alone ate the budget, skip the
-          // exact pass and hand back the greedy plan tagged partial (it is
-          // feasible but not proven optimal).
-          GreedyOptions primer;
-          primer.parallelism = lanes;
-          primer.deadline = deadline;
-          primer.cancel = cancel;
-          Result<IncrementSolution> primed = SolveGreedy(problem, primer);
-          if (primed.ok() && primed->feasible) {
-            if (deadline.RemainingSeconds() < pressure_fallback_seconds) {
-              IncrementSolution fallback = std::move(*primed);
-              if (!fallback.partial) {
-                fallback.partial = true;
-                fallback.stop = SolveStop::kDeadline;
-                fallback.search_complete = false;
-              }
-              return fallback;
-            }
-            heuristic_options.initial_upper_bound = primed->total_cost;
-            heuristic_options.initial_assignment = primed->new_confidence;
-          }
-        }
         return SolveHeuristic(problem, heuristic_options);
       }
       case SolverKind::kGreedy: {

@@ -290,15 +290,6 @@ class PcqeEngine {
   /// Confidence-increment granularity δ used when posing strategy problems.
   double improvement_delta = 0.1;
 
-  /// Under a finite request deadline, `kAuto` (and an explicit `kHeuristic`)
-  /// first runs a deadline-bounded greedy pass whose result both primes the
-  /// exact search (initial upper bound + feasible incumbent) and serves as
-  /// the anytime fallback; when the remaining budget is already below
-  /// `pressure_fallback_seconds` the exact pass is skipped entirely and the
-  /// greedy plan is returned tagged `partial` (feasible, not proven optimal).
-  bool greedy_fallback_under_pressure = true;
-  double pressure_fallback_seconds = 0.010;
-
   /// Which query interpreter `Evaluate` runs. Both produce bit-identical
   /// results (rows, confidences, lineage — see tests/vectorized_test.cc);
   /// the row engine is kept as the differential reference, the vectorized

@@ -280,18 +280,17 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
       evaluated = cache_.Insert(key, version, std::move(fresh));
     }
 
-    if (options_.adaptive_solver_lanes) {
-      // Share the hardware between in-flight requests: a lone request fans
-      // the solver out to the engine's full budget, a saturated service
-      // degrades toward one lane each. Counters and solutions are
-      // lane-count independent, so this only trades wall clock.
-      size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-      size_t budget = engine_->solver_parallelism.Resolve();
-      size_t lanes = std::max<size_t>(
-          1, std::min(budget, hw / std::max<size_t>(1, active)));
-      engine_request.solver_lanes = SolverParallelism{lanes};
-      solver_lanes_gauge_->Set(static_cast<int64_t>(lanes));
-    }
+    // Share the hardware between in-flight requests: a lone request fans
+    // the solver out to the engine's full budget, a saturated service
+    // degrades toward one lane each (`max(1, hardware_threads /
+    // active_requests)`, capped at the engine's budget). Counters and
+    // solutions are lane-count independent, so this only trades wall clock.
+    size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
+    size_t budget = engine_->solver_parallelism.Resolve();
+    size_t lanes = std::max<size_t>(
+        1, std::min(budget, hw / std::max<size_t>(1, active)));
+    engine_request.solver_lanes = SolverParallelism{lanes};
+    solver_lanes_gauge_->Set(static_cast<int64_t>(lanes));
     // Completion copies the shared evaluation into the outcome: rows are
     // duplicated, the lineage arena is shared by shared_ptr and read-only.
     PCQE_ASSIGN_OR_RETURN(QueryOutcome completed,

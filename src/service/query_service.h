@@ -99,14 +99,6 @@ struct ServiceOptions {
   /// Capacity of the service-owned audit ring (only used when `audit` is
   /// null); 0 disables audit recording.
   size_t audit_capacity = 256;
-  /// Choose each request's solver lane budget as
-  /// `max(1, hardware_threads / active_requests)` (capped at the engine's
-  /// own budget), so a lone request fans out wide while a full worker pool
-  /// degrades to one lane per request instead of oversubscribing.
-  /// Solutions and effort counters are lane-count independent, so this
-  /// only trades wall clock. The last decision is exported as the
-  /// `pcqe_service_solver_lanes` gauge.
-  bool adaptive_solver_lanes = true;
   /// When set, overrides the engine's `execution_mode` at construction
   /// (row vs. vectorized query interpreter). Unset leaves the engine's own
   /// setting — vectorized by default — untouched.

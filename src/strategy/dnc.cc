@@ -143,7 +143,6 @@ Result<size_t> BuildGroupCurve(const IncrementProblem& problem,
     HeuristicOptions h;
     h.initial_upper_bound = sub_state.total_cost();
     h.max_nodes = options.heuristic_max_nodes;
-    h.max_seconds = options.heuristic_max_seconds;
     h.deadline = options.deadline;
     h.cancel = options.cancel;
     h.parallelism.threads = 1;
@@ -295,7 +294,6 @@ Result<GroupSolve> SolveOneGroup(const IncrementProblem& problem,
     h.initial_upper_bound = sub_solution.total_cost;
     h.initial_assignment = sub_solution.new_confidence;
     h.max_nodes = options.heuristic_max_nodes;
-    h.max_seconds = options.heuristic_max_seconds;
     h.deadline = options.deadline;
     h.cancel = options.cancel;
     h.parallelism.threads = 1;
@@ -444,10 +442,9 @@ Result<IncrementSolution> SolveDnc(const IncrementProblem& problem,
   size_t total_iterations = 0;
   SolverEffort effort;
 
-  // Deadline-bounded greedy priming (the engine's pressure path, pulled into
-  // the solver so a *bare* kDnc request gets it too): under a finite budget
-  // the fill can be cut off mid-raise, and the merged partial may then be
-  // infeasible even though a feasible plan was within easy reach. Run the
+  // Deadline-bounded greedy priming (as in SolveHeuristic): under a finite
+  // budget the fill can be cut off mid-raise, and the merged partial may then
+  // be infeasible even though a feasible plan was within easy reach. Run the
   // whole-problem greedy pass first — it observes the same absolute deadline
   // — and keep a feasible result as the incumbent to fall back on. Gated on
   // a finite deadline so un-deadlined solves (including the recorded

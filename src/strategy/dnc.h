@@ -30,10 +30,11 @@ struct DncOptions {
   /// branch-and-bound pass, seeded with the group's greedy cost as the
   /// initial upper bound. 0 disables the heuristic pass entirely.
   size_t tau = 12;
-  /// Budgets for each per-group heuristic pass (Figure 10 notes each
-  /// sub-problem must stay "solvable in reasonable time").
+  /// Node budget for each per-group heuristic pass (Figure 10 notes each
+  /// sub-problem must stay "solvable in reasonable time"). The pass runs on
+  /// one lane, so where this budget trips is deterministic; wall clock only
+  /// stops it through `deadline`.
   size_t heuristic_max_nodes = 2'000'000;
-  double heuristic_max_seconds = 0.5;
   /// Lane budget for the group-level fan-out: single-query curve builds run
   /// fully concurrently (the global state is read-only during that phase);
   /// multi-query sub-solves run speculatively in fixed-width waves of

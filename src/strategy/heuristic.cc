@@ -11,10 +11,15 @@
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "strategy/greedy.h"
 
 namespace pcqe {
 
 namespace {
+
+/// Under a finite deadline, a greedy-primed search that has less than this
+/// much budget left after the greedy pass returns the greedy plan instead.
+constexpr double kPrimedSearchMinSeconds = 0.010;
 
 /// costβ against a caller-owned scratch vector holding the problem's current
 /// initial probabilities. Only `scratch[base_index]` is written, and it is
@@ -250,19 +255,69 @@ double CostBeta(const IncrementProblem& problem, size_t base_index) {
 Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
                                          const HeuristicOptions& options) {
   Stopwatch timer;
-  // Fold the legacy relative budget into the absolute deadline so both run
-  // through the same poll points.
-  Deadline budget_deadline = options.deadline;
-  if (options.max_seconds > 0.0) {
-    budget_deadline = Deadline::Sooner(budget_deadline,
-                                       Deadline::AfterSeconds(options.max_seconds));
-  }
-  SolveControl control(budget_deadline, options.cancel,
+  SolveControl control(options.deadline, options.cancel,
                        fault_sites::kHeuristicDeadline);
   if (!problem.is_monotone()) {
     return Status::InvalidArgument(
         "heuristic solver requires a monotone problem (no negation in lineage); "
         "use the greedy solver as a best-effort fallback");
+  }
+
+  ConfidenceState initial_state(problem);
+  if (initial_state.Feasible()) {
+    // Already satisfied with no spend.
+    IncrementSolution out = MakeSolution(initial_state, "heuristic");
+    out.solve_seconds = timer.ElapsedSeconds();
+    return out;
+  }
+  {
+    // Global feasibility check: everything at its ceiling.
+    ConfidenceState ceiling_state(problem);
+    for (size_t i = 0; i < problem.num_base_tuples(); ++i) {
+      ceiling_state.SetProb(i, problem.base(i).max_confidence);
+    }
+    if (!ceiling_state.Feasible()) {
+      // Infeasible even at every ceiling: report the do-nothing assignment.
+      IncrementSolution out = MakeSolution(initial_state, "heuristic");
+      out.solve_seconds = timer.ElapsedSeconds();
+      return out;
+    }
+  }
+
+  SolverEffort effort;
+  double best_cost =
+      options.initial_upper_bound.value_or(std::numeric_limits<double>::infinity());
+  const std::vector<double>* initial_assignment =
+      options.initial_assignment.has_value() ? &*options.initial_assignment : nullptr;
+
+  // Greedy priming under a finite deadline: B&B then only explores subtrees
+  // that can beat the greedy plan, and if the deadline lands mid-search that
+  // plan is already a feasible anytime answer. When the greedy pass alone
+  // ate the budget, return its plan without searching (feasible, not proven
+  // optimal). Un-deadlined solves never prime, so they stay byte-identical.
+  IncrementSolution primed;
+  if (!options.deadline.infinite() && !options.initial_upper_bound.has_value()) {
+    GreedyOptions primer;
+    primer.parallelism = options.parallelism;
+    primer.deadline = options.deadline;
+    primer.cancel = options.cancel;
+    PCQE_ASSIGN_OR_RETURN(primed, SolveGreedy(problem, primer));
+    effort.MergeFrom(primed.effort);
+    if (primed.feasible) {
+      if (options.deadline.RemainingSeconds() < kPrimedSearchMinSeconds) {
+        primed.algorithm = "heuristic";
+        primed.effort = effort;
+        primed.solve_seconds = timer.ElapsedSeconds();
+        if (!primed.partial) {
+          primed.partial = true;
+          primed.stop = SolveStop::kDeadline;
+          primed.search_complete = false;
+        }
+        return primed;
+      }
+      best_cost = primed.total_cost;
+      initial_assignment = &primed.new_confidence;
+    }
   }
 
   // H1 (or natural) variable ordering. costβ of each tuple is independent of
@@ -302,33 +357,9 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
     suffix_min_step[d] = std::min(suffix_min_step[d + 1], min_step_cost[order[d]]);
   }
 
-  ConfidenceState initial_state(problem);
-  if (initial_state.Feasible()) {
-    // Already satisfied with no spend.
-    IncrementSolution out = MakeSolution(initial_state, "heuristic");
-    out.solve_seconds = timer.ElapsedSeconds();
-    return out;
-  }
-  {
-    // Global feasibility check: everything at its ceiling.
-    ConfidenceState ceiling_state(problem);
-    for (size_t i = 0; i < problem.num_base_tuples(); ++i) {
-      ceiling_state.SetProb(i, problem.base(i).max_confidence);
-    }
-    if (!ceiling_state.Feasible()) {
-      // Infeasible even at every ceiling: report the do-nothing assignment.
-      IncrementSolution out = MakeSolution(initial_state, "heuristic");
-      out.solve_seconds = timer.ElapsedSeconds();
-      return out;
-    }
-  }
-
   SearchBudget budget;
-  SolverEffort effort;
-  if (options.use_h1_ordering) effort.costbeta_evals = order.size();
+  if (options.use_h1_ordering) effort.costbeta_evals += order.size();
 
-  double best_cost =
-      options.initial_upper_bound.value_or(std::numeric_limits<double>::infinity());
   std::vector<double> best_assignment;
   bool have_best = false;
 
@@ -386,11 +417,11 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
       final_state.SetProb(i, best_assignment[i]);
     }
     out = MakeSolution(final_state, "heuristic");
-  } else if (options.initial_assignment.has_value() && std::isfinite(best_cost)) {
-    // The externally supplied incumbent was never beaten; return it.
+  } else if (initial_assignment != nullptr && std::isfinite(best_cost)) {
+    // The supplied or primed incumbent was never beaten; return it.
     ConfidenceState final_state(problem);
-    for (size_t i = 0; i < options.initial_assignment->size(); ++i) {
-      final_state.SetProb(i, (*options.initial_assignment)[i]);
+    for (size_t i = 0; i < initial_assignment->size(); ++i) {
+      final_state.SetProb(i, (*initial_assignment)[i]);
     }
     out = MakeSolution(final_state, "heuristic");
   } else {

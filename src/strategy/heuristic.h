@@ -52,13 +52,17 @@ struct HeuristicOptions {
   /// Node budget; on exhaustion the best incumbent is returned with
   /// `search_complete = false` / `partial = true`. Shared across lanes.
   size_t max_nodes = 500'000'000;
-  /// Wall-clock budget in seconds; 0 disables. Same early-return behavior.
-  double max_seconds = 0.0;
-  /// Absolute budget, folded with `max_seconds` via `Deadline::Sooner`. On
-  /// expiry the search stops within a bounded number of node expansions
-  /// (checked every 1024 shared nodes and at every wave boundary) and the
-  /// best feasible incumbent — or `initial_assignment`, when supplied and
-  /// never beaten — is returned tagged `partial` / `SolveStop::kDeadline`.
+  /// Absolute budget: the only way wall clock enters the search. On expiry
+  /// the search stops within a bounded number of node expansions (checked
+  /// every 1024 shared nodes and at every wave boundary) and the best
+  /// feasible incumbent — or `initial_assignment`, when supplied and never
+  /// beaten — is returned tagged `partial` / `SolveStop::kDeadline`.
+  ///
+  /// A finite deadline with no `initial_upper_bound` first runs a greedy
+  /// pass bounded by the same deadline: a feasible greedy plan primes the
+  /// search's bound and incumbent, and when less than 10 ms of budget is
+  /// left after it, that plan is returned tagged partial without searching.
+  /// An infinite `initial_upper_bound` keeps a deadlined search unprimed.
   Deadline deadline;
   /// Optional caller-owned cancellation flag, checked on the same cadence.
   const CancelToken* cancel = nullptr;
@@ -72,9 +76,10 @@ struct HeuristicOptions {
   /// width is a constant — not the lane count — the explored tree, the
   /// returned solution *and every effort counter* are bit-identical at any
   /// setting (equal-cost ties go to the smallest root step); lanes only
-  /// decide how many units of a wave run concurrently. The one exception
-  /// is a `max_nodes`/`max_seconds` abort (`search_complete = false`),
-  /// where the budget trips at a scheduling-dependent point.
+  /// decide how many units of a wave run concurrently. The exceptions are
+  /// a multi-lane `max_nodes` abort and a deadline stop, where the budget
+  /// trips at a scheduling-dependent point; a single-lane `max_nodes` abort
+  /// is deterministic.
   SolverParallelism parallelism;
 };
 

@@ -72,7 +72,7 @@ struct SolverEffort {
 enum class SolveStop : uint8_t {
   kComplete = 0,    ///< natural end: the algorithm's full answer
   kNodeBudget = 1,  ///< `max_nodes` exhausted (exact searches)
-  kDeadline = 2,    ///< `Deadline` / `max_seconds` budget expired
+  kDeadline = 2,    ///< the `Deadline` expired
   kCancelled = 3,   ///< the caller's `CancelToken` fired
 };
 

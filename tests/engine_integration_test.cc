@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "engine/pcqe_engine.h"
 
 namespace pcqe {
@@ -132,9 +134,13 @@ TEST_F(PcqeEngineTest, BadSqlPropagatesParseError) {
 }
 
 TEST_F(PcqeEngineTest, BadFractionRejected) {
-  EXPECT_TRUE(engine_->Submit({kCandidateQuery, "sam", "analysis", 1.5})
-                  .status()
-                  .IsInvalidArgument());
+  // NaN must be rejected up front, not after a float-to-size_t cast.
+  for (double fraction : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    Status status = engine_->Submit({kCandidateQuery, "sam", "analysis", fraction}).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << fraction;
+    EXPECT_NE(status.message().find("outside [0, 1]"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(PcqeEngineTest, ExplicitSolverSelection) {

@@ -162,6 +162,33 @@ TEST(ParallelDeterminismTest, DncMultiQueryIdenticalAt1And8) {
   }
 }
 
+TEST(ParallelDeterminismTest, DncNodeBudgetStopIdenticalAcrossRunsAndLanes) {
+  // Each small group's exact pass runs on one lane and stops only on its
+  // node budget (no deadline here), so where that budget trips depends on
+  // the group alone — never on timing or on the D&C lane count.
+  constexpr size_t kTinyBudget = 40;
+  for (uint64_t seed : kSeeds) {
+    IncrementProblem p = *GenerateWorkload(SolverParams(seed)).ToProblem();
+    DncOptions roomy;
+    roomy.parallelism.threads = 1;
+    DncOptions tight = roomy;
+    tight.heuristic_max_nodes = kTinyBudget;
+    IncrementSolution reference = *SolveDnc(p, tight);
+    // The budget really trips: the same solve with room to finish expands
+    // more nodes.
+    EXPECT_LT(reference.effort.nodes_expanded, SolveDnc(p, roomy)->effort.nodes_expanded)
+        << "seed " << seed;
+    ExpectSameSolution(reference, *SolveDnc(p, tight), /*bit_identical=*/true, seed);
+    for (size_t lanes : {4, 8}) {
+      DncOptions par = tight;
+      par.parallelism.threads = lanes;
+      IncrementSolution l = *SolveDnc(p, par);
+      ExpectSameSolution(reference, l, /*bit_identical=*/true, seed);
+      EXPECT_EQ(reference.nodes_explored, l.nodes_explored) << "seed " << seed;
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, HeuristicCostIdenticalAt1And8) {
   for (uint64_t seed : kSeeds) {
     WorkloadParams params;

@@ -121,6 +121,19 @@ TEST_F(ShellTest, UsageMessagesForBadArity) {
   EXPECT_NE(Feed(".load onlyone").find("usage:"), std::string::npos);
   EXPECT_NE(Feed(".policy add Role").find("usage:"), std::string::npos);
   EXPECT_NE(Feed(".fraction").find("usage:"), std::string::npos);
+  // Non-numeric, non-finite and out-of-range values leave the setting as is.
+  for (const char* bad : {"abc", "nan", "inf", "1.5", "-0.1", "0.5x"}) {
+    EXPECT_NE(Feed(std::string(".fraction ") + bad).find("usage:"), std::string::npos)
+        << bad;
+  }
+  EXPECT_DOUBLE_EQ(shell_.fraction(), 1.0);
+  for (const char* bad : {"abc", "-5", "10ms", "99999999999999999999"}) {
+    EXPECT_NE(Feed(std::string(".timeout ") + bad).find("usage:"), std::string::npos)
+        << bad;
+  }
+  EXPECT_EQ(shell_.timeout_ms(), 0);
+  EXPECT_NE(Feed(".fraction 0.25").find("required fraction = 0.25"), std::string::npos);
+  EXPECT_NE(Feed(".timeout 50").find("query timeout = 50ms"), std::string::npos);
 }
 
 TEST_F(ShellTest, SaveAndOpenDatabase) {

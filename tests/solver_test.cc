@@ -445,6 +445,43 @@ TEST(AnytimeTest, DncTightDeadlineFallsBackToFeasibleGreedyPlan) {
   EXPECT_EQ(dnc->algorithm, "dnc");
 }
 
+TEST(AnytimeTest, DeadlinedHeuristicPrimesItselfWithGreedy) {
+  // No incumbent from the caller and a 50 ms deadline on an instance whose
+  // exact search cannot finish: six DISTINCT-style results, each an OR of
+  // five tuples at confidence 0.1, β = 0.9, δ = 0.02. The solver runs its
+  // own deadline-bounded greedy pass, so the anytime answer is feasible.
+  auto arena = std::make_shared<LineageArena>();
+  std::vector<LineageRef> results;
+  std::vector<BaseTupleSpec> specs;
+  for (LineageVarId group = 0; group < 6; ++group) {
+    std::vector<LineageRef> members;
+    for (LineageVarId row = 0; row < 5; ++row) {
+      LineageVarId id = group * 5 + row + 1;
+      members.push_back(arena->Var(id));
+      specs.push_back({id, 0.1, 1.0, *MakeLinearCost(100.0)});
+    }
+    results.push_back(arena->Or(members));
+  }
+  ProblemOptions problem_options;
+  problem_options.beta = 0.9;
+  problem_options.delta = 0.02;
+  IncrementProblem p =
+      *IncrementProblem::BuildSingle(arena, results, specs, 6, problem_options);
+
+  HeuristicOptions options;
+  options.deadline = Deadline::AfterMillis(50);
+  Result<IncrementSolution> s = SolveHeuristic(p, options);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ExpectValid(p, *s);
+  EXPECT_TRUE(s->feasible);
+  EXPECT_TRUE(s->partial);
+  EXPECT_EQ(s->stop, SolveStop::kDeadline);
+  EXPECT_FALSE(s->search_complete);
+  EXPECT_EQ(s->algorithm, "heuristic");
+  // The greedy pass's effort is part of the solve's.
+  EXPECT_GT(s->effort.greedy_phase1_iterations, 0u);
+}
+
 TEST(AnytimeTest, CancelTokenStopsEverySolver) {
   WorkloadParams params;
   params.num_base_tuples = 20;

@@ -79,7 +79,10 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
       `SolveControl`), which owns the infinite-deadline convention and the
       stop-cause latch; hand-rolled `now() < deadline` comparisons silently
       diverge on those. Arithmetic on `now()` (elapsed-time measurement) is
-      fine — only comparisons are flagged.
+      fine — only comparisons are flagged. Solvers also never arm a
+      deadline of their own: `Deadline::After*` in src/strategy/ is flagged,
+      because a private wall-clock budget makes results and effort counters
+      depend on timing. Solvers receive the caller's `Deadline` and pass it on.
 
 Usage:
   pcqe_lint.py [--root DIR] [FILE...]   # lint repo (or explicit files)
@@ -117,6 +120,8 @@ DEADLINE_CMP_RE = re.compile(
     r"(?:steady_clock|\bClock)::now\s*\(\)\s*[<>]=?"
     r"|[<>]=?\s*(?:std::chrono::)?(?:steady_clock|\bClock)::now\s*\(\)"
 )
+# A solver arming its own relative budget (`Deadline::AfterSeconds(...)`).
+DEADLINE_ARM_RE = re.compile(r"\bDeadline::After\w*\s*\(")
 
 # The only src/ files allowed to compare a confidence against β directly:
 # the policy decision, the solvers' shared ClearsThreshold helper, and the
@@ -357,6 +362,13 @@ def lint_file(relpath, lines, status_fns):
                 "raw steady_clock::now() deadline comparison; use the "
                 "Deadline helper (Expired()/RemainingSeconds()/SolveControl "
                 "from common/deadline.h)"))
+        if relpath.startswith("src/strategy/") and \
+                DEADLINE_ARM_RE.search(code) and not _allowed(raw, "deadline"):
+            out.append(Violation(
+                relpath, i, "deadline",
+                "solver arms its own Deadline; solvers receive the caller's "
+                "deadline and never create one (wall clock must enter a solve "
+                "only through the request's Deadline)"))
 
         # -- discarded-status ---------------------------------------------
         if (in_src or in_tools) and not _allowed(raw, "discarded-status"):

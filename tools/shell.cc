@@ -1,6 +1,9 @@
 #include "tools/shell.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "common/annotations.h"
@@ -22,6 +25,29 @@ std::vector<std::string> SplitWords(const std::string& line) {
   std::string word;
   while (in >> word) words.push_back(word);
   return words;
+}
+
+/// Parses a whole word as a finite double; nullopt on any trailing junk.
+std::optional<double> ParseFiniteDouble(const std::string& word) {
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(word.c_str(), &end);
+  if (end == word.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Parses a whole word as a non-negative int64; nullopt otherwise.
+std::optional<int64_t> ParseNonNegativeInt(const std::string& word) {
+  char* end = nullptr;
+  errno = 0;
+  long long value = std::strtoll(word.c_str(), &end, 10);
+  if (end == word.c_str() || *end != '\0' || errno == ERANGE || value < 0) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(value);
 }
 
 }  // namespace
@@ -81,18 +107,21 @@ void Shell::RunCommand(const std::string& line) {
       out() << "purpose = " << purpose_ << "\n";
     }
   } else if (cmd == ".fraction") {
-    if (args.size() != 1) {
+    std::optional<double> fraction =
+        args.size() == 1 ? ParseFiniteDouble(args[0]) : std::nullopt;
+    if (!fraction.has_value() || *fraction < 0.0 || *fraction > 1.0) {
       out() << "usage: .fraction <0..1>\n";
     } else {
-      fraction_ = std::strtod(args[0].c_str(), nullptr);
+      fraction_ = *fraction;
       out() << "required fraction = " << FormatDouble(fraction_) << "\n";
     }
   } else if (cmd == ".timeout") {
-    if (args.size() != 1) {
+    std::optional<int64_t> timeout =
+        args.size() == 1 ? ParseNonNegativeInt(args[0]) : std::nullopt;
+    if (!timeout.has_value()) {
       out() << "usage: .timeout <ms>  (0 = unlimited)\n";
     } else {
-      timeout_ms_ = std::strtoll(args[0].c_str(), nullptr, 10);
-      if (timeout_ms_ < 0) timeout_ms_ = 0;
+      timeout_ms_ = *timeout;
       if (timeout_ms_ == 0) {
         out() << "query timeout off\n";
       } else {
