@@ -22,6 +22,12 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (std::string_view part : parts) out += part;
+  return out;
+}
+
 std::string JoinStrings(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

@@ -5,6 +5,7 @@
 #define PCQE_COMMON_STRING_UTIL_H_
 
 #include <cstdarg>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,11 @@ namespace pcqe {
 
 /// printf-style formatting into a `std::string`.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Concatenates `parts` by appends. Use it instead of an `operator+` chain
+/// on temporaries: GCC 12 optimized builds report a false -Wrestrict on
+/// `"literal" + std::string&&`.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Joins `parts` with `sep` ("a", "b" -> "a, b" for sep ", ").
 std::string JoinStrings(const std::vector<std::string>& parts, std::string_view sep);

@@ -111,28 +111,36 @@ void PcqeEngine::ObserveOperatorSeconds(const OperatorProfile& profile) const {
 }
 
 Result<QueryOutcome> PcqeEngine::Submit(const QueryRequest& request) const {
-  std::shared_ptr<OperatorProfile> profile;
-  if (request.profile) profile = std::make_shared<OperatorProfile>();
-  std::optional<double> pushdown_beta = ResolvePushdownBeta(request);
-  if (tracer_ == nullptr || !tracer_->enabled()) {
-    PCQE_ASSIGN_OR_RETURN(QueryResult intermediate,
-                          Evaluate(request.sql, nullptr, profile.get(), pushdown_beta));
-    Result<QueryOutcome> outcome = Complete(request, std::move(intermediate));
-    if (outcome.ok()) outcome->profile = std::move(profile);
-    return outcome;
+  PCQE_ASSIGN_OR_RETURN(std::vector<QueryOutcome> outcomes, SubmitBatch({request}));
+  return std::move(outcomes[0]);
+}
+
+Result<std::vector<QueryOutcome>> PcqeEngine::SubmitBatch(
+    const std::vector<QueryRequest>& requests) const {
+  if (requests.empty()) return Status::InvalidArgument("empty request batch");
+  std::optional<TraceBuilder> trace;
+  if (tracer_ != nullptr && tracer_->enabled()) trace.emplace("submit");
+  TraceBuilder* tb = trace.has_value() ? &*trace : nullptr;
+  std::vector<std::shared_ptr<OperatorProfile>> profiles(requests.size());
+  auto evaluate_and_complete = [&]() -> Result<std::vector<QueryOutcome>> {
+    std::vector<QueryResult> intermediates(requests.size());
+    for (size_t q = 0; q < requests.size(); ++q) {
+      if (requests[q].profile) profiles[q] = std::make_shared<OperatorProfile>();
+      PCQE_ASSIGN_OR_RETURN(intermediates[q],
+                            Evaluate(requests[q].sql, tb, profiles[q].get(),
+                                     ResolvePushdownBeta(requests[q])));
+    }
+    return Complete(requests, std::move(intermediates), tb);
+  };
+  Result<std::vector<QueryOutcome>> outcomes = evaluate_and_complete();
+  uint64_t trace_id = trace.has_value() ? tracer_->Record(trace->Finish()) : 0;
+  if (outcomes.ok()) {
+    for (size_t q = 0; q < outcomes->size(); ++q) {
+      (*outcomes)[q].trace_id = trace_id;
+      (*outcomes)[q].profile = std::move(profiles[q]);
+    }
   }
-  TraceBuilder trace("submit");
-  Result<QueryOutcome> outcome = [&]() -> Result<QueryOutcome> {
-    PCQE_ASSIGN_OR_RETURN(QueryResult intermediate,
-                          Evaluate(request.sql, &trace, profile.get(), pushdown_beta));
-    return Complete(request, std::move(intermediate), &trace);
-  }();
-  uint64_t id = tracer_->Record(trace.Finish());
-  if (outcome.ok()) {
-    outcome->trace_id = id;
-    outcome->profile = std::move(profile);
-  }
-  return outcome;
+  return outcomes;
 }
 
 Result<QueryResult> PcqeEngine::Evaluate(const std::string& sql,
@@ -232,28 +240,48 @@ Result<size_t> PcqeEngine::FilterOne(const QueryRequest& request, QueryOutcome* 
   return target > outcome->released.size() ? target - outcome->released.size() : 0;
 }
 
-Result<QueryOutcome> PcqeEngine::Complete(const QueryRequest& request,
-                                          QueryResult intermediate,
-                                          TraceBuilder* trace) const {
+Result<std::vector<QueryOutcome>> PcqeEngine::Complete(
+    const std::vector<QueryRequest>& requests, std::vector<QueryResult> intermediates,
+    TraceBuilder* trace) const {
+  if (requests.empty() || intermediates.size() != requests.size()) {
+    return Status::InvalidArgument("a batch needs one evaluated result per request");
+  }
   ScopedSpan span(trace, "complete");
-  QueryOutcome outcome;
-  outcome.intermediate = std::move(intermediate);
-  std::vector<size_t> blocked;
-  size_t needed = 0;
-  {
-    // The audit trail: which β applied and how many rows it released/
-    // dropped for this subject.
-    ScopedSpan filter_span(trace, "policy-filter");
-    PCQE_ASSIGN_OR_RETURN(needed, FilterOne(request, &outcome, &blocked));
-    filter_span.Annotate("beta", FormatDouble(outcome.policy.threshold, 4));
-    filter_span.Annotate("released", std::to_string(outcome.released.size()));
-    filter_span.Annotate("blocked", std::to_string(blocked.size()));
-  }
-  if (metrics_.rows_released != nullptr) {
-    metrics_.rows_released->Increment(outcome.released.size());
-    metrics_.rows_blocked->Increment(blocked.size());
-  }
-  if (needed > 0) {
+  std::vector<QueryOutcome> outcomes(requests.size());
+  // The requests that came up short, in request order: one strategy problem
+  // spans all of their blocked rows.
+  std::vector<bool> is_short(requests.size(), false);
+  std::vector<const QueryOutcome*> short_outcomes;
+  std::vector<std::vector<size_t>> short_blocked;
+  std::vector<size_t> short_needed;
+  size_t first_short = 0;
+  for (size_t q = 0; q < requests.size(); ++q) {
+    QueryOutcome& outcome = outcomes[q];
+    outcome.intermediate = std::move(intermediates[q]);
+    std::vector<size_t> blocked;
+    size_t needed = 0;
+    {
+      // The audit trail: which β applied and how many rows it released/
+      // dropped for this subject.
+      ScopedSpan filter_span(trace, "policy-filter");
+      PCQE_ASSIGN_OR_RETURN(needed, FilterOne(requests[q], &outcome, &blocked));
+      filter_span.Annotate("beta", FormatDouble(outcome.policy.threshold, 4));
+      filter_span.Annotate("released", std::to_string(outcome.released.size()));
+      filter_span.Annotate("blocked", std::to_string(blocked.size()));
+    }
+    if (metrics_.rows_released != nullptr) {
+      metrics_.rows_released->Increment(outcome.released.size());
+      metrics_.rows_blocked->Increment(blocked.size());
+    }
+    if (needed == 0) continue;
+    if (short_outcomes.empty()) {
+      first_short = q;
+    } else if (!ApproxEqual(outcomes[first_short].policy.threshold,
+                            outcome.policy.threshold)) {
+      return Status::InvalidArgument(
+          "batched requests that need improvement must share one confidence "
+          "threshold (same role/purpose policy)");
+    }
     // The solvers pool per-row formulas; a deferred result interns them
     // only now — compliant queries (no shortfall) never build a single
     // per-row lineage node.
@@ -261,15 +289,38 @@ Result<QueryOutcome> PcqeEngine::Complete(const QueryRequest& request,
       ScopedSpan box_span(trace, "lineage-box");
       outcome.intermediate.MaterializeLineage();
     }
-    PCQE_ASSIGN_OR_RETURN(
-        outcome.proposal,
-        FindStrategy({&outcome}, {blocked}, {needed}, outcome.policy.threshold,
-                     request.solver,
-                     request.solver_lanes.value_or(solver_parallelism),
-                     request.deadline, request.cancel, trace));
+    is_short[q] = true;
+    short_outcomes.push_back(&outcome);
+    short_blocked.push_back(std::move(blocked));
+    short_needed.push_back(needed);
   }
-  outcome.audit_id = RecordQueryAudit(request, outcome, blocked);
-  return outcome;
+
+  // (7): strategy finding across every request that came up short.
+  StrategyProposal plan;
+  if (!short_outcomes.empty()) {
+    const QueryRequest& lead = requests[first_short];
+    PCQE_ASSIGN_OR_RETURN(
+        plan, FindStrategy(short_outcomes, short_blocked, short_needed,
+                           outcomes[first_short].policy.threshold, lead.solver,
+                           lead.solver_lanes.value_or(solver_parallelism),
+                           lead.deadline, lead.cancel, trace));
+  }
+  for (size_t q = 0; q < requests.size(); ++q) {
+    outcomes[q].audit_id =
+        RecordQueryAudit(requests[q], outcomes[q], is_short[q] ? &plan : nullptr);
+  }
+  if (!short_outcomes.empty()) outcomes[first_short].proposal = std::move(plan);
+  return outcomes;
+}
+
+Result<QueryOutcome> PcqeEngine::Complete(const QueryRequest& request,
+                                          QueryResult intermediate,
+                                          TraceBuilder* trace) const {
+  std::vector<QueryResult> intermediates;
+  intermediates.push_back(std::move(intermediate));
+  PCQE_ASSIGN_OR_RETURN(std::vector<QueryOutcome> outcomes,
+                        Complete({request}, std::move(intermediates), trace));
+  return std::move(outcomes[0]);
 }
 
 namespace {
@@ -305,7 +356,7 @@ std::string BlockedRowLineageSummary(
 
 uint64_t PcqeEngine::RecordQueryAudit(const QueryRequest& request,
                                       const QueryOutcome& outcome,
-                                      const std::vector<size_t>& blocked) const {
+                                      const StrategyProposal* plan) const {
   if (audit_ == nullptr || !audit_->enabled()) return 0;
   const QueryResult& qr = outcome.intermediate;
   AuditRecord rec;
@@ -319,7 +370,7 @@ uint64_t PcqeEngine::RecordQueryAudit(const QueryRequest& request,
   rec.released_fraction = outcome.released_fraction;
   rec.rows_total = qr.rows.size();
   rec.rows_released = outcome.released.size();
-  rec.rows_blocked = blocked.size();
+  rec.rows_blocked = qr.rows.size() - outcome.released.size();
   rec.pushed_down = qr.pushed_down;
   rec.pruned_chunks = qr.vec_stats.pruned_chunks;
   rec.pruned_rows = qr.vec_stats.pruned_rows;
@@ -347,64 +398,14 @@ uint64_t PcqeEngine::RecordQueryAudit(const QueryRequest& request,
     }
     rec.rows.push_back(std::move(decision));
   }
-  if (outcome.proposal.needed) {
+  if (plan != nullptr) {
     rec.proposal_needed = true;
-    rec.proposal_feasible = outcome.proposal.feasible;
-    rec.proposal_partial = outcome.proposal.partial;
-    rec.proposal_cost = outcome.proposal.total_cost;
-    rec.proposal_algorithm = outcome.proposal.algorithm;
+    rec.proposal_feasible = plan->feasible;
+    rec.proposal_partial = plan->partial;
+    rec.proposal_cost = plan->total_cost;
+    rec.proposal_algorithm = plan->algorithm;
   }
   return audit_->Record(std::move(rec));
-}
-
-Result<std::vector<QueryOutcome>> PcqeEngine::SubmitBatch(
-    const std::vector<QueryRequest>& requests) const {
-  if (requests.empty()) return Status::InvalidArgument("empty request batch");
-
-  std::vector<QueryOutcome> outcomes(requests.size());
-  std::vector<std::vector<size_t>> blocked(requests.size());
-  std::vector<size_t> needed(requests.size(), 0);
-
-  for (size_t q = 0; q < requests.size(); ++q) {
-    PCQE_ASSIGN_OR_RETURN(outcomes[q].intermediate,
-                          Evaluate(requests[q].sql, nullptr, nullptr,
-                                   ResolvePushdownBeta(requests[q])));
-    PCQE_ASSIGN_OR_RETURN(needed[q], FilterOne(requests[q], &outcomes[q], &blocked[q]));
-  }
-
-  // (7): strategy finding across every request that came up short.
-  std::vector<const QueryOutcome*> short_outcomes;
-  std::vector<std::vector<size_t>> short_blocked;
-  std::vector<size_t> short_needed;
-  double beta = -1.0;
-  size_t first_short = requests.size();
-  for (size_t q = 0; q < requests.size(); ++q) {
-    if (needed[q] == 0) continue;
-    if (outcomes[q].intermediate.lineage_deferred()) {
-      outcomes[q].intermediate.MaterializeLineage();
-    }
-    if (first_short == requests.size()) first_short = q;
-    if (beta < 0.0) {
-      beta = outcomes[q].policy.threshold;
-    } else if (!ApproxEqual(beta, outcomes[q].policy.threshold)) {
-      return Status::InvalidArgument(
-          "batched requests that need improvement must share one confidence "
-          "threshold (same role/purpose policy)");
-    }
-    short_outcomes.push_back(&outcomes[q]);
-    short_blocked.push_back(blocked[q]);
-    short_needed.push_back(needed[q]);
-  }
-  if (first_short < requests.size()) {
-    PCQE_ASSIGN_OR_RETURN(
-        StrategyProposal proposal,
-        FindStrategy(short_outcomes, short_blocked, short_needed, beta,
-                     requests[first_short].solver,
-                     requests[first_short].solver_lanes.value_or(solver_parallelism),
-                     requests[first_short].deadline, requests[first_short].cancel));
-    outcomes[first_short].proposal = std::move(proposal);
-  }
-  return outcomes;
 }
 
 Result<StrategyProposal> PcqeEngine::FindStrategy(

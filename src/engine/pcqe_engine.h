@@ -167,8 +167,9 @@ class PcqeEngine {
   Tracer* tracer() const { return tracer_; }
 
   /// Attaches a compliance audit log (borrowed; must outlive the engine;
-  /// null detaches). Once attached, every `Complete` appends one record per
-  /// policy decision and every `AcceptProposal` one per applied increment —
+  /// null detaches). Once attached, every `Complete` — and so every `Submit`
+  /// and `SubmitBatch` — appends one record per request and every
+  /// `AcceptProposal` one per applied increment —
   /// see telemetry/audit.h for the privacy contract. Call before serving;
   /// attachment is not synchronized against concurrent `Submit`s (the log
   /// itself is thread-safe once attached).
@@ -194,18 +195,16 @@ class PcqeEngine {
     return catalog_mu_;
   }
 
-  /// Runs steps 1-3 above. When a `Tracer` is attached and enabled, records
-  /// one trace per call ("submit" root with evaluate / policy-filter / solve
-  /// child spans) and sets `QueryOutcome::trace_id`.
+  /// Runs steps 1-3 above: `SubmitBatch({request})`.
   [[nodiscard]] Result<QueryOutcome> Submit(const QueryRequest& request) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
 
-  /// Runs several requests as one batch (§4's multi-query extension): the
-  /// strategy problem spans all blocked results and must satisfy every
-  /// request's requirement simultaneously. All requests must resolve to the
-  /// same confidence threshold (same role/purpose class); otherwise
-  /// `kInvalidArgument`. Per-request outcomes carry a shared proposal
-  /// (attached to the first outcome whose request needed it).
+  /// Runs several requests as one batch (§4's multi-query extension):
+  /// `Evaluate` per request (honouring `QueryRequest::profile` and β
+  /// pushdown), then the batch `Complete`. When a `Tracer` is attached and
+  /// enabled, records one trace per call ("submit" root with evaluate and
+  /// complete child spans) and sets `QueryOutcome::trace_id` on every
+  /// outcome.
   [[nodiscard]] Result<std::vector<QueryOutcome>> SubmitBatch(
       const std::vector<QueryRequest>& requests) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
@@ -253,12 +252,23 @@ class PcqeEngine {
   /// otherwise still validate against the replayed catalog.
   ConfidenceIndexCache* confidence_index() const { return &index_cache_; }
 
-  /// Steps 2-3 on an already-evaluated result: resolves the policy for the
-  /// request's subject, filters, and runs strategy finding on a shortfall.
-  /// `intermediate` must come from `Evaluate` (or a cache of it) against the
-  /// catalog's current confidences. When `trace` is non-null a "complete"
-  /// span with "policy-filter" (β and per-β release/drop counts — the audit
-  /// trail) and "solve" children is added.
+  /// Steps 2-3 on evaluated results — the only code that turns an evaluation
+  /// into a decision. `intermediates[q]` must come from `Evaluate` (or a
+  /// cache of it) for `requests[q]` against the current confidences. Each
+  /// request is policy-filtered and its rows counted; one strategy problem
+  /// spans every request that came up short (they must share one β, else
+  /// `kInvalidArgument`) and runs with the first short request's solver,
+  /// lanes, deadline and cancel token; its plan rides on that request's
+  /// outcome. Then one audit record per request is appended in request
+  /// order, a short request's carrying the shared plan; a failing batch
+  /// appends none. A non-null `trace` gets a "complete" span with one
+  /// "policy-filter" child (β, released/blocked counts) per request and one
+  /// "solve" child.
+  [[nodiscard]] Result<std::vector<QueryOutcome>> Complete(
+      const std::vector<QueryRequest>& requests, std::vector<QueryResult> intermediates,
+      TraceBuilder* trace = nullptr) const PCQE_REQUIRES_SHARED(catalog_mu_);
+
+  /// A one-request batch `Complete`.
   [[nodiscard]] Result<QueryOutcome> Complete(const QueryRequest& request,
                                               QueryResult intermediate,
                                               TraceBuilder* trace = nullptr) const
@@ -322,7 +332,7 @@ class PcqeEngine {
                                         const std::vector<size_t>& needed, double beta,
                                         SolverKind solver, SolverParallelism lanes,
                                         Deadline deadline, const CancelToken* cancel,
-                                        TraceBuilder* trace = nullptr) const
+                                        TraceBuilder* trace) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
 
   /// Cached instrument pointers, registered by `AttachTelemetry`.
@@ -356,11 +366,12 @@ class PcqeEngine {
   /// `pcqe_query_operator_seconds_<kind>` histogram.
   void ObserveOperatorSeconds(const OperatorProfile& profile) const;
 
-  /// Appends the `Complete` decision (β filter + solver outcome) to the
-  /// attached audit log; returns the record id (0 when unattached).
+  /// Appends one request's `Complete` decision (β filter, plus the batch's
+  /// `plan` when the request came up short) to the attached audit log;
+  /// returns the record id (0 when unattached).
   [[nodiscard]] uint64_t RecordQueryAudit(const QueryRequest& request,
                                           const QueryOutcome& outcome,
-                                          const std::vector<size_t>& blocked) const
+                                          const StrategyProposal* plan) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
 
   /// See `catalog_mu()`. Mutable: the lock is taken (by callers) around

@@ -243,14 +243,14 @@ std::string LineageArena::ToString(LineageRef ref) const {
     case LineageOp::kVar:
       return StrFormat("t%llu", static_cast<unsigned long long>(node.var));
     case LineageOp::kNot:
-      return "!" + ToString(node.children[0]);
+      return StrCat({"!", ToString(node.children[0])});
     case LineageOp::kAnd:
     case LineageOp::kOr: {
       const char* sep = node.op == LineageOp::kAnd ? " & " : " | ";
       std::vector<std::string> parts;
       parts.reserve(node.children.size());
       for (LineageRef c : node.children) parts.push_back(ToString(c));
-      return "(" + JoinStrings(parts, sep) + ")";
+      return StrCat({"(", JoinStrings(parts, sep), ")"});
     }
   }
   return "?";

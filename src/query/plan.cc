@@ -44,7 +44,7 @@ std::string PlanNode::Summary() const {
       break;
     case PlanKind::kFilter:
     case PlanKind::kJoin:
-      if (predicate) line += " " + predicate->ToString();
+      if (predicate) line += StrCat({" ", predicate->ToString()});
       break;
     case PlanKind::kProject: {
       std::vector<std::string> parts;
@@ -90,8 +90,8 @@ std::string PlanNode::Summary() const {
 std::string PlanNode::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad + Summary() + " -> " + output_schema.ToString();
-  if (left) out += "\n" + left->ToString(indent + 1);
-  if (right) out += "\n" + right->ToString(indent + 1);
+  if (left) out += StrCat({"\n", left->ToString(indent + 1)});
+  if (right) out += StrCat({"\n", right->ToString(indent + 1)});
   return out;
 }
 

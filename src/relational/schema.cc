@@ -55,7 +55,7 @@ std::string Schema::ToString() const {
   for (const Column& c : columns_) {
     parts.push_back(c.QualifiedName() + " " + DataTypeToString(c.type));
   }
-  return "(" + JoinStrings(parts, ", ") + ")";
+  return StrCat({"(", JoinStrings(parts, ", "), ")"});
 }
 
 }  // namespace pcqe

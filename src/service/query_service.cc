@@ -15,6 +15,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Capacities of the trace and audit rings a service owns when
+/// `ServiceOptions` injects none.
+constexpr size_t kOwnedTraceCapacity = 64;
+constexpr size_t kOwnedAuditCapacity = 256;
+
 uint64_t ElapsedUs(Clock::time_point since) {
   return static_cast<uint64_t>(std::max<int64_t>(
       0, std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - since)
@@ -29,10 +34,10 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
       owned_registry_(options.registry == nullptr ? std::make_unique<TelemetryRegistry>()
                                                   : nullptr),
       owned_tracer_(options.tracer == nullptr
-                        ? std::make_unique<Tracer>(options.trace_capacity)
+                        ? std::make_unique<Tracer>(kOwnedTraceCapacity)
                         : nullptr),
       owned_audit_(options.audit == nullptr
-                       ? std::make_unique<AuditLog>(options.audit_capacity)
+                       ? std::make_unique<AuditLog>(kOwnedAuditCapacity)
                        : nullptr),
       registry_(options.registry != nullptr ? options.registry : owned_registry_.get()),
       tracer_(options.tracer != nullptr ? options.tracer : owned_tracer_.get()),
@@ -42,9 +47,6 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
   cache_.AttachTelemetry(registry_);
   tracer_->AttachTelemetry(registry_);
   audit_->AttachTelemetry(registry_);
-  if (options_.execution_mode.has_value()) {
-    engine_->execution_mode = *options_.execution_mode;
-  }
   if (engine_->telemetry() == nullptr) {
     engine_->AttachTelemetry(registry_, tracer_);
   }
@@ -129,12 +131,10 @@ Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
   pending.session = session;
   pending.request = std::move(request);
   pending.enqueued = Clock::now();
-  int64_t timeout_ms = pending.request.timeout_ms > 0 ? pending.request.timeout_ms
-                                                      : options_.default_timeout_ms;
-  pending.deadline =
-      timeout_ms > 0
-          ? Deadline::At(pending.enqueued + std::chrono::milliseconds(timeout_ms))
-          : Deadline::Infinite();
+  pending.deadline = pending.request.timeout_ms > 0
+                         ? Deadline::At(pending.enqueued + std::chrono::milliseconds(
+                                                               pending.request.timeout_ms))
+                         : Deadline::Infinite();
   std::future<Result<QueryOutcome>> future = pending.promise.get_future();
 
   {
@@ -168,10 +168,8 @@ Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
 
 Result<QueryOutcome> QueryService::Submit(const SessionHandle& session,
                                           ServiceRequest request) {
-  int64_t timeout_ms =
-      request.timeout_ms > 0 ? request.timeout_ms : options_.default_timeout_ms;
-  Deadline deadline =
-      timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms) : Deadline::Infinite();
+  Deadline deadline = request.timeout_ms > 0 ? Deadline::AfterMillis(request.timeout_ms)
+                                             : Deadline::Infinite();
   if (workers_.empty()) {
     // No workers to hand off to: run on the caller's thread.
     stats_.OnSubmitted();
@@ -300,15 +298,7 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
   }();
 
   if (outcome.ok()) {
-    size_t released = outcome->released.size();
-    stats_.OnServed(released, outcome->intermediate.rows.size() - released,
-                    outcome->proposal.needed);
-    if (outcome->proposal.partial) {
-      stats_.OnPartialResult();
-      if (outcome->proposal.stop == SolveStop::kDeadline) {
-        stats_.OnSolveDeadlineExceeded();
-      }
-    }
+    stats_.OnServed();
   } else {
     stats_.OnFailed();
   }

@@ -41,7 +41,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,8 +65,6 @@ struct ServiceOptions {
   /// Admission bound: submissions beyond this many queued requests are
   /// rejected with `kResourceExhausted`.
   size_t queue_capacity = 64;
-  /// Applied when a request's own `timeout_ms` is 0. 0 = no deadline.
-  int64_t default_timeout_ms = 0;
   /// Blocking `Submit` re-attempts after a retryable `kResourceExhausted`
   /// admission rejection (queue full or shed — never after shutdown), with
   /// exponential backoff starting at `retry_backoff_ms` and bounded by the
@@ -83,26 +80,17 @@ struct ServiceOptions {
   /// Entry bound of the confidence-result cache; 0 disables caching.
   size_t cache_capacity = 128;
   /// Metrics registry and trace ring the service publishes to. Borrowed
-  /// (must outlive the service); null means the service owns private ones,
-  /// reachable via `telemetry()` / `tracer()`. The engine, if it has no
-  /// telemetry attached yet, is attached to the service's.
+  /// (must outlive the service); null means the service owns private ones
+  /// (a 64-trace ring), reachable via `telemetry()` / `tracer()`. The
+  /// engine, if it has no telemetry attached yet, is attached to the
+  /// service's.
   TelemetryRegistry* registry = nullptr;
   Tracer* tracer = nullptr;
-  /// Capacity of the service-owned trace ring (only used when `tracer` is
-  /// null).
-  size_t trace_capacity = 64;
   /// Compliance audit log the engine appends policy decisions to. Borrowed
-  /// (must outlive the service); null means the service owns a private one,
-  /// reachable via `audit()`. The engine, if it has no audit log attached
-  /// yet, is attached to the service's.
+  /// (must outlive the service); null means the service owns a private
+  /// 256-record one, reachable via `audit()`. The engine, if it has no
+  /// audit log attached yet, is attached to the service's.
   AuditLog* audit = nullptr;
-  /// Capacity of the service-owned audit ring (only used when `audit` is
-  /// null); 0 disables audit recording.
-  size_t audit_capacity = 256;
-  /// When set, overrides the engine's `execution_mode` at construction
-  /// (row vs. vectorized query interpreter). Unset leaves the engine's own
-  /// setting — vectorized by default — untouched.
-  std::optional<ExecutionMode> execution_mode = std::nullopt;
   /// Durable catalog (src/storage/). With a non-empty `durability.dir` the
   /// service opens (and, when a manifest exists, *recovers*) the directory
   /// on construction and every `Accept` becomes a WAL-logged transaction.
@@ -122,7 +110,7 @@ struct ServiceRequest {
   /// expires completes with `kResourceExhausted`, and a request that reaches
   /// the engine carries the remaining budget into the strategy solve (on
   /// expiry mid-solve the outcome's proposal is the solver's best anytime
-  /// plan, tagged `partial`). 0 = use the service default.
+  /// plan, tagged `partial`). 0 = no deadline.
   int64_t timeout_ms = 0;
   /// Optional caller-owned cancellation flag, forwarded into the engine's
   /// solvers; must outlive the request's future.
@@ -254,10 +242,11 @@ class QueryService {
   }
 
   /// Executes one request under the shared catalog lock: cache lookup,
-  /// evaluation on miss, per-subject completion. Updates serve/fail/row
-  /// counters. `enqueued` is the trace origin (submission time), so the
-  /// recorded trace duration covers queue wait too; `deadline` is the
-  /// remaining budget handed to the engine's strategy solve.
+  /// evaluation on miss, per-subject completion. Updates the serve/fail
+  /// counters (the engine counts the decision itself). `enqueued` is the
+  /// trace origin (submission time), so the recorded trace duration covers
+  /// queue wait too; `deadline` is the remaining budget handed to the
+  /// engine's strategy solve.
   Result<QueryOutcome> Execute(const SessionHandle& session,
                                const ServiceRequest& request,
                                std::chrono::steady_clock::time_point enqueued,

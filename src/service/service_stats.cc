@@ -42,18 +42,6 @@ ServiceStats::ServiceStats(TelemetryRegistry* registry) {
   shutdown_dropped_ =
       registry->GetCounter("pcqe_service_requests_shutdown_dropped_total",
                            "Requests still queued when the service stopped");
-  policy_blocked_rows_ = registry->GetCounter(
-      "pcqe_service_rows_blocked_total", "Rows withheld by confidence policy");
-  released_rows_ = registry->GetCounter("pcqe_service_rows_released_total",
-                                        "Rows released to subjects");
-  proposals_ = registry->GetCounter("pcqe_service_proposals_total",
-                                    "Outcomes that carried a costed proposal");
-  partial_results_ = registry->GetCounter(
-      "pcqe_service_partial_results_total",
-      "Served outcomes whose proposal was an anytime (partial) plan");
-  solve_deadline_exceeded_ = registry->GetCounter(
-      "pcqe_service_solve_deadline_exceeded_total",
-      "Served outcomes whose strategy solve was stopped by the deadline");
   latency_us_ = registry->GetHistogram("pcqe_service_latency_us", LatencyBounds(),
                                        "End-to-end request latency (microseconds)");
 }
@@ -67,11 +55,6 @@ void ServiceStats::FillSnapshot(ServiceStatsSnapshot* out) const {
   out->retried = retried_->value();
   out->expired = expired_->value();
   out->shutdown_dropped = shutdown_dropped_->value();
-  out->partial_results = partial_results_->value();
-  out->solve_deadline_exceeded = solve_deadline_exceeded_->value();
-  out->policy_blocked_rows = policy_blocked_rows_->value();
-  out->released_rows = released_rows_->value();
-  out->proposals = proposals_->value();
   Histogram::Snapshot latency = latency_us_->snapshot();
   for (size_t b = 0; b < out->latency_buckets.size() && b < latency.counts.size(); ++b) {
     out->latency_buckets[b] = latency.counts[b];
@@ -89,19 +72,11 @@ std::string ServiceStatsSnapshot::ToString() const {
       static_cast<unsigned long long>(rejected),
       static_cast<unsigned long long>(expired),
       static_cast<unsigned long long>(shutdown_dropped));
-  if (shed + retried + partial_results + solve_deadline_exceeded > 0) {
-    out += StrFormat(
-        "overload: %llu shed, %llu admission retries; %llu partial results "
-        "(%llu by solve deadline)\n",
-        static_cast<unsigned long long>(shed),
-        static_cast<unsigned long long>(retried),
-        static_cast<unsigned long long>(partial_results),
-        static_cast<unsigned long long>(solve_deadline_exceeded));
+  if (shed + retried > 0) {
+    out += StrFormat("overload: %llu shed, %llu admission retries\n",
+                     static_cast<unsigned long long>(shed),
+                     static_cast<unsigned long long>(retried));
   }
-  out += StrFormat("rows: %llu released, %llu policy-blocked; %llu proposals\n",
-                   static_cast<unsigned long long>(released_rows),
-                   static_cast<unsigned long long>(policy_blocked_rows),
-                   static_cast<unsigned long long>(proposals));
   out += StrFormat(
       "cache: %llu hits, %llu misses (%.1f%% hit rate), %llu evictions, "
       "%zu entries\n",

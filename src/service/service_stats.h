@@ -1,9 +1,11 @@
 // Copyright (c) PCQE contributors.
 // Built-in counters for the query service: request accounting, cache
-// effectiveness, queue pressure and a latency histogram. Since the
-// telemetry subsystem landed these are registry-backed instruments
-// (`pcqe_service_*`), so the same numbers appear in the snapshot API below
-// and in `TelemetryRegistry::RenderText()`.
+// effectiveness, queue pressure and a latency histogram. These are
+// registry-backed instruments (`pcqe_service_*`), so the same numbers appear
+// in the snapshot API below and in `TelemetryRegistry::RenderText()`. The
+// decisions themselves — rows released/blocked, proposals, partial and
+// deadline-stopped solves — are the engine's facts, counted once by its
+// `pcqe_engine_*` counters.
 
 #ifndef PCQE_SERVICE_SERVICE_STATS_H_
 #define PCQE_SERVICE_SERVICE_STATS_H_
@@ -37,16 +39,9 @@ struct ServiceStatsSnapshot {
   /// Breakdown and side counters outside the `submitted` identity: `shed` is
   /// the subset of `rejected` refused at the overload watermark (before the
   /// queue was full); `retried` counts blocking-`Submit` re-attempts after a
-  /// retryable rejection (attempts, not requests); `partial_results` counts
-  /// served outcomes whose proposal carried an anytime (partial) plan;
-  /// `solve_deadline_exceeded` the subset stopped by the request deadline.
+  /// retryable rejection (attempts, not requests).
   uint64_t shed = 0;
   uint64_t retried = 0;
-  uint64_t partial_results = 0;
-  uint64_t solve_deadline_exceeded = 0;
-  uint64_t policy_blocked_rows = 0;  ///< Rows withheld by confidence policy.
-  uint64_t released_rows = 0;        ///< Rows released to subjects.
-  uint64_t proposals = 0;        ///< Outcomes that carried a costed proposal.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
@@ -86,15 +81,7 @@ class ServiceStats {
   void OnExpired() { expired_->Increment(); }
   void OnShutdownDropped() { shutdown_dropped_->Increment(); }
   void OnFailed() { failed_->Increment(); }
-  void OnPartialResult() { partial_results_->Increment(); }
-  void OnSolveDeadlineExceeded() { solve_deadline_exceeded_->Increment(); }
-
-  void OnServed(size_t released, size_t blocked, bool proposal) {
-    served_->Increment();
-    released_rows_->Increment(released);
-    policy_blocked_rows_->Increment(blocked);
-    if (proposal) proposals_->Increment();
-  }
+  void OnServed() { served_->Increment(); }
 
   void RecordLatencyUs(uint64_t us) { latency_us_->Observe(static_cast<double>(us)); }
 
@@ -111,11 +98,6 @@ class ServiceStats {
   Counter* retried_;
   Counter* expired_;
   Counter* shutdown_dropped_;
-  Counter* partial_results_;
-  Counter* solve_deadline_exceeded_;
-  Counter* policy_blocked_rows_;
-  Counter* released_rows_;
-  Counter* proposals_;
   Histogram* latency_us_;
 };
 

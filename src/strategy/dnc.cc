@@ -21,6 +21,15 @@ SolveStop DncStopFrom(StopCause cause) {
                                         : SolveStop::kDeadline;
 }
 
+/// Whether the budget is spent, read straight off the deadline and the
+/// cancel flag. Unlike `SolveControl::StopNow` this consumes no injected
+/// deadline probe, so the `FaultInjector::hits()` positions that replays of
+/// an injected expiry rely on stay where the phase-boundary polls put them.
+bool BudgetSpent(const DncOptions& options) {
+  return options.deadline.Expired() ||
+         (options.cancel != nullptr && options.cancel->cancelled());
+}
+
 /// A group posed as a standalone sub-problem plus solver artifacts.
 struct GroupWork {
   std::vector<uint32_t> sub_bases;          ///< global base index per sub index
@@ -121,6 +130,9 @@ Result<size_t> BuildGroupCurve(const IncrementProblem& problem,
                                SolverEffort* effort) {
   size_t iterations = 0;
   PCQE_INJECT_FAULT(fault_sites::kDncGroup);
+  // A spent budget contributes no curve: the groups already built are the
+  // anytime result.
+  if (BudgetSpent(options)) return iterations;
   PCQE_ASSIGN_OR_RETURN(GroupWork work,
                         CollectGroup(problem, global, group,
                                      /*respect_deficit=*/false));
@@ -271,6 +283,7 @@ Result<GroupSolve> SolveOneGroup(const IncrementProblem& problem,
                                  const DncOptions& options) {
   GroupSolve out;
   PCQE_INJECT_FAULT(fault_sites::kDncGroup);
+  if (BudgetSpent(options)) return out;
   PCQE_ASSIGN_OR_RETURN(GroupWork work,
                         CollectGroup(problem, view, group,
                                      /*respect_deficit=*/true));
@@ -460,7 +473,8 @@ Result<IncrementSolution> SolveDnc(const IncrementProblem& problem,
     if (primed.feasible) incumbent = std::move(primed);
   }
 
-  if (!global.Feasible()) {
+  // Partitioning is unpolled work; a primer that used up the budget skips it.
+  if (!global.Feasible() && !BudgetSpent(options)) {
     std::vector<PartitionGroup> groups = PartitionResults(problem, options.partition);
 
     Result<size_t> solved =

@@ -49,7 +49,8 @@ struct DncOptions {
   /// precompute.
   SolverParallelism parallelism;
   /// Absolute budget, folded into every sub-solver (group greedy, bounded
-  /// exact tails, top-up, refinement) and polled at wave/phase boundaries.
+  /// exact tails, top-up, refinement), polled at wave/phase boundaries and
+  /// checked before partitioning and before each group's setup.
   /// On expiry the merged partial — whatever the applied group solves have
   /// contributed so far — is returned tagged `partial`. Deadline-stopped
   /// runs are exempt from the lane-count determinism contract (where the

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "engine/pcqe_engine.h"
+#include "telemetry/audit.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace pcqe {
 namespace {
@@ -242,6 +246,115 @@ TEST_F(PcqeEngineTest, ZeroRowQueryInBatchCountsAsFullyReleased) {
   EXPECT_TRUE(outcomes[1].intermediate.rows.empty());
   EXPECT_DOUBLE_EQ(outcomes[1].released_fraction, 1.0);
   EXPECT_FALSE(outcomes[1].proposal.needed);
+}
+
+/// Names of the direct children of the first span called `parent`.
+std::vector<std::string> ChildSpanNames(const Trace& trace, const std::string& parent) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < trace.spans.size(); ++i) {
+    if (trace.spans[i].name != parent) continue;
+    for (const Span& span : trace.spans) {
+      if (span.parent == static_cast<int32_t>(i)) names.push_back(span.name);
+    }
+    break;
+  }
+  return names;
+}
+
+TEST_F(PcqeEngineTest, BatchDecisionsAreCountedTracedAndAudited) {
+  // A batch is the same decision flow as a single submit: every request's
+  // rows are counted, filtered under one traced "complete" span, and audited
+  // in request order with the shared plan on each short request's record.
+  TelemetryRegistry registry;
+  Tracer tracer(8);
+  AuditLog audit(16);
+  engine_->AttachTelemetry(&registry, &tracer);
+  engine_->AttachAudit(&audit);
+  Counter* released = registry.GetCounter("pcqe_engine_rows_released_total");
+  Counter* blocked = registry.GetCounter("pcqe_engine_rows_blocked_total");
+
+  QueryRequest q1{kCandidateQuery, "mary", "investment", 1.0};
+  QueryRequest q2{
+      "SELECT c.company FROM (SELECT DISTINCT company FROM proposal WHERE funding < "
+      "900000) AS c JOIN companyinfo AS ci ON c.company = ci.company",
+      "mary", "investment", 1.0};
+  Result<std::vector<QueryOutcome>> batch = engine_->SubmitBatch({q1, q2});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const std::vector<QueryOutcome>& outcomes = *batch;
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[0].proposal.needed);
+  const StrategyProposal& plan = outcomes[0].proposal;
+
+  size_t total_rows = 0;
+  for (const QueryOutcome& o : outcomes) {
+    EXPECT_TRUE(o.released.empty());
+    total_rows += o.intermediate.rows.size();
+  }
+  EXPECT_EQ(released->value(), 0u);
+  EXPECT_EQ(blocked->value(), total_rows);
+
+  std::vector<AuditRecord> records = audit.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  std::reverse(records.begin(), records.end());  // Snapshot is newest-first
+  const std::vector<QueryRequest> requests = {q1, q2};
+  for (size_t q = 0; q < 2; ++q) {
+    const AuditRecord& rec = records[q];
+    const QueryOutcome& outcome = outcomes[q];
+    EXPECT_EQ(rec.id, outcome.audit_id);
+    EXPECT_EQ(rec.sql, requests[q].sql);
+    EXPECT_EQ(rec.rows_total, outcome.intermediate.rows.size());
+    EXPECT_EQ(rec.rows_released, outcome.released.size());
+    ASSERT_EQ(rec.rows.size(), outcome.intermediate.rows.size());
+    for (size_t i = 0; i < rec.rows.size(); ++i) {
+      bool is_released = std::find(outcome.released.begin(), outcome.released.end(), i) !=
+                         outcome.released.end();
+      EXPECT_EQ(rec.rows[i].row, i);
+      EXPECT_EQ(rec.rows[i].released, is_released);
+      EXPECT_DOUBLE_EQ(rec.rows[i].confidence, outcome.intermediate.rows[i].confidence);
+    }
+    EXPECT_TRUE(rec.proposal_needed);
+    EXPECT_EQ(rec.proposal_feasible, plan.feasible);
+    EXPECT_DOUBLE_EQ(rec.proposal_cost, plan.total_cost);
+    EXPECT_EQ(rec.proposal_algorithm, plan.algorithm);
+  }
+
+  ASSERT_EQ(tracer.total_recorded(), 1u);
+  EXPECT_NE(outcomes[0].trace_id, 0u);
+  EXPECT_EQ(outcomes[1].trace_id, outcomes[0].trace_id);
+  std::optional<Trace> trace = tracer.Get(outcomes[0].trace_id);
+  ASSERT_TRUE(trace.has_value());
+  std::vector<std::string> children = ChildSpanNames(*trace, "complete");
+  EXPECT_EQ(std::count(children.begin(), children.end(), "policy-filter"), 2);
+  EXPECT_EQ(std::count(children.begin(), children.end(), "solve"), 1);
+}
+
+TEST_F(PcqeEngineTest, SubmitIsAOneRequestBatch) {
+  AuditLog audit(16);
+  engine_->AttachAudit(&audit);
+  QueryRequest request{kCandidateQuery, "mary", "investment", 1.0};
+  QueryOutcome single = *engine_->Submit(request);
+  std::vector<QueryOutcome> batch = *engine_->SubmitBatch({request});
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(single.released, batch[0].released);
+  ASSERT_TRUE(single.proposal.needed);
+  ASSERT_TRUE(batch[0].proposal.needed);
+  EXPECT_DOUBLE_EQ(single.proposal.total_cost, batch[0].proposal.total_cost);
+  ASSERT_EQ(single.proposal.actions.size(), batch[0].proposal.actions.size());
+  for (size_t i = 0; i < single.proposal.actions.size(); ++i) {
+    const IncrementAction& a = single.proposal.actions[i];
+    const IncrementAction& b = batch[0].proposal.actions[i];
+    EXPECT_EQ(a.base_tuple, b.base_tuple);
+    EXPECT_DOUBLE_EQ(a.to, b.to);
+  }
+
+  std::optional<AuditRecord> from_submit = audit.Get(single.audit_id);
+  std::optional<AuditRecord> from_batch = audit.Get(batch[0].audit_id);
+  ASSERT_TRUE(from_submit.has_value());
+  ASSERT_TRUE(from_batch.has_value());
+  EXPECT_NE(from_submit->id, from_batch->id);
+  from_submit->id = 0;
+  from_batch->id = 0;
+  EXPECT_EQ(from_submit->ToJson(), from_batch->ToJson());
 }
 
 TEST_F(PcqeEngineTest, SubmitIsCallableThroughConstEngine) {

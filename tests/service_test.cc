@@ -533,6 +533,35 @@ TEST_F(QueryServiceTest, RegistryCountersMatchSnapshot) {
             std::string::npos);
 }
 
+TEST_F(QueryServiceTest, EngineCountsEachDecisionOnce) {
+  // Released/blocked rows, proposals, partial and deadline-stopped solves
+  // are the engine's facts: the service exports them only through the
+  // engine's counters, never under names of its own.
+  auto service = MakeService({.num_workers = 1});
+  SessionHandle mary = *service->OpenSession("mary", "investment");
+  size_t rows = 0;
+  for (int i = 0; i < 2; ++i) {
+    Result<QueryOutcome> outcome =
+        service->Submit(mary, {.sql = kCandidateQuery, .required_fraction = 1.0});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(outcome->proposal.needed);
+    rows += outcome->intermediate.rows.size();
+  }
+  TelemetryRegistry* registry = service->telemetry();
+  EXPECT_EQ(registry->GetCounter("pcqe_engine_rows_released_total")->value() +
+                registry->GetCounter("pcqe_engine_rows_blocked_total")->value(),
+            rows);
+  EXPECT_EQ(registry->GetCounter("pcqe_engine_proposals_total")->value(), 2u);
+
+  std::string text = service->RenderMetricsText();
+  for (const char* name :
+       {"pcqe_service_rows_released_total", "pcqe_service_rows_blocked_total",
+        "pcqe_service_proposals_total", "pcqe_service_partial_results_total",
+        "pcqe_service_solve_deadline_exceeded_total"}) {
+    EXPECT_EQ(text.find(name), std::string::npos) << name;
+  }
+}
+
 TEST_F(QueryServiceTest, AdaptiveSolverLanesExportedAsGauge) {
   auto service = MakeService({.num_workers = 1});
   SessionHandle mary = *service->OpenSession("mary", "investment");
@@ -630,9 +659,9 @@ TEST_F(QueryServiceTest, DeadlinedSubmitReturnsFeasiblePartialInTime) {
   // builds stop well inside this bound.
   EXPECT_LE(elapsed_ms, 300.0);
 
-  ServiceStatsSnapshot stats = service->stats();
-  EXPECT_GE(stats.partial_results, 1u);
-  EXPECT_GE(stats.solve_deadline_exceeded, 1u);
+  EXPECT_GE(service->telemetry()->GetCounter("pcqe_engine_partial_total")->value(), 1u);
+  EXPECT_GE(
+      service->telemetry()->GetCounter("pcqe_engine_deadline_exceeded_total")->value(), 1u);
 }
 
 TEST_F(QueryServiceTest, QueueOverflowLogsAWarning) {
