@@ -1,6 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <utility>
 
@@ -19,6 +20,11 @@ using Clock = std::chrono::steady_clock;
 /// `ServiceOptions` injects none.
 constexpr size_t kOwnedTraceCapacity = 64;
 constexpr size_t kOwnedAuditCapacity = 256;
+
+/// Bounds of the end-to-end latency histogram (microseconds): 1-2-5 per
+/// decade from 100 µs to 10 s, with the histogram's +Inf bucket above.
+constexpr std::array<double, 16> kLatencyBoundsUs = {
+    100, 200, 500, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7};
 
 uint64_t ElapsedUs(Clock::time_point since) {
   return static_cast<uint64_t>(std::max<int64_t>(
@@ -42,8 +48,7 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
       registry_(options.registry != nullptr ? options.registry : owned_registry_.get()),
       tracer_(options.tracer != nullptr ? options.tracer : owned_tracer_.get()),
       audit_(options.audit != nullptr ? options.audit : owned_audit_.get()),
-      cache_(options.cache_capacity),
-      stats_(registry_) {
+      cache_(options.cache_capacity) {
   cache_.AttachTelemetry(registry_);
   tracer_->AttachTelemetry(registry_);
   audit_->AttachTelemetry(registry_);
@@ -53,20 +58,38 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
   if (engine_->audit() == nullptr) {
     engine_->AttachAudit(audit_);
   }
-  queue_depth_gauge_ =
-      registry_->GetGauge("pcqe_service_queue_depth", "Requests waiting for a worker");
-  active_sessions_gauge_ =
-      registry_->GetGauge("pcqe_service_active_sessions", "Open sessions");
-  active_requests_gauge_ = registry_->GetGauge("pcqe_service_active_requests",
-                                               "Requests currently executing");
-  cache_entries_gauge_ =
-      registry_->GetGauge("pcqe_cache_entries", "Confidence-result cache entries");
-  solver_lanes_gauge_ = registry_->GetGauge(
-      "pcqe_service_solver_lanes", "Solver lane budget of the most recent request");
-  pool_queue_depth_gauge_ = registry_->GetGauge("pcqe_threadpool_queue_depth",
-                                                "Shared pool tasks awaiting a worker");
-  pool_busy_workers_gauge_ = registry_->GetGauge(
-      "pcqe_threadpool_busy_workers", "Shared pool workers executing a task");
+  metrics_ = ServiceMetrics{
+      .submitted = registry_->GetCounter("pcqe_service_requests_submitted_total",
+                                         "Requests accepted into the queue"),
+      .served = registry_->GetCounter("pcqe_service_requests_served_total",
+                                      "Requests completed with an OK outcome"),
+      .failed = registry_->GetCounter("pcqe_service_requests_failed_total",
+                                      "Requests completed with a non-OK status"),
+      .rejected = registry_->GetCounter(
+          "pcqe_service_requests_rejected_total",
+          "Requests refused at admission (queue full or service shut down)"),
+      .expired = registry_->GetCounter("pcqe_service_requests_expired_total",
+                                       "Requests whose deadline passed while queued"),
+      .shutdown_dropped =
+          registry_->GetCounter("pcqe_service_requests_shutdown_dropped_total",
+                                "Requests still queued when the service stopped"),
+      .latency_us = registry_->GetHistogram("pcqe_service_latency_us",
+                                            {kLatencyBoundsUs.begin(), kLatencyBoundsUs.end()},
+                                            "End-to-end request latency (microseconds)"),
+      .queue_depth =
+          registry_->GetGauge("pcqe_service_queue_depth", "Requests waiting for a worker"),
+      .active_sessions = registry_->GetGauge("pcqe_service_active_sessions", "Open sessions"),
+      .active_requests = registry_->GetGauge("pcqe_service_active_requests",
+                                             "Requests currently executing"),
+      .cache_entries =
+          registry_->GetGauge("pcqe_cache_entries", "Confidence-result cache entries"),
+      .solver_lanes = registry_->GetGauge("pcqe_service_solver_lanes",
+                                          "Solver lane budget of the most recent request"),
+      .pool_queue_depth = registry_->GetGauge("pcqe_threadpool_queue_depth",
+                                              "Shared pool tasks awaiting a worker"),
+      .pool_busy_workers = registry_->GetGauge("pcqe_threadpool_busy_workers",
+                                               "Shared pool workers executing a task"),
+  };
   if (options_.durability.enabled() && engine_->storage() == nullptr) {
     owned_storage_ = std::make_unique<StorageManager>();
     Status opened;
@@ -125,8 +148,8 @@ Status QueryService::CloseSession(uint64_t session_id) {
   return sessions_.Close(session_id);
 }
 
-Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
-    const SessionHandle& session, ServiceRequest request) {
+QueryService::PendingRequest QueryService::MakePending(const SessionHandle& session,
+                                                      ServiceRequest request) {
   PendingRequest pending;
   pending.session = session;
   pending.request = std::move(request);
@@ -135,75 +158,51 @@ Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
                          ? Deadline::At(pending.enqueued + std::chrono::milliseconds(
                                                                pending.request.timeout_ms))
                          : Deadline::Infinite();
+  return pending;
+}
+
+Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
+    const SessionHandle& session, ServiceRequest request) {
+  PendingRequest pending = MakePending(session, std::move(request));
   std::future<Result<QueryOutcome>> future = pending.promise.get_future();
 
   {
     MutexLock guard(queue_mu_);
+    Status admitted;
     if (!accepting_) {
-      stats_.OnRejected();
-      return Status::ResourceExhausted("query service is shut down");
-    }
-    PCQE_INJECT_FAULT(fault_sites::kAdmission);
-    if (options_.shed_watermark > 0 && queue_.size() >= options_.shed_watermark) {
-      stats_.OnShed();
-      return Status::ResourceExhausted(
-          StrFormat("service overloaded (%zu queued, shed watermark %zu); "
-                    "retry later",
-                    queue_.size(), options_.shed_watermark));
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      stats_.OnRejected();
+      admitted = Status::ResourceExhausted("query service is shut down");
+    } else if (queue_.size() >= options_.queue_capacity) {
       PCQE_LOG(Warning) << "rejecting request: queue full (" << queue_.size()
                         << " pending)";
-      return Status::ResourceExhausted(
-          StrFormat("request queue full (%zu pending); retry later",
-                    queue_.size()));
+      admitted = Status::ResourceExhausted(
+          StrFormat("request queue full (%zu pending); retry later", queue_.size()));
+    } else if (FaultInjector::Global().enabled()) {
+      admitted = FaultInjector::Global().Probe(fault_sites::kAdmission);
+    }
+    if (!admitted.ok()) {
+      metrics_.rejected->Increment();
+      return admitted;
     }
     queue_.push_back(std::move(pending));
   }
-  stats_.OnSubmitted();
+  metrics_.submitted->Increment();
   queue_cv_.notify_one();
   return future;
 }
 
 Result<QueryOutcome> QueryService::Submit(const SessionHandle& session,
                                           ServiceRequest request) {
-  Deadline deadline = request.timeout_ms > 0 ? Deadline::AfterMillis(request.timeout_ms)
-                                             : Deadline::Infinite();
-  if (workers_.empty()) {
-    // No workers to hand off to: run on the caller's thread.
-    stats_.OnSubmitted();
-    Clock::time_point start = Clock::now();
-    Result<QueryOutcome> outcome = Execute(session, request, start, deadline);
-    stats_.RecordLatencyUs(ElapsedUs(start));
-    return outcome;
+  if (options_.num_workers > 0) {
+    PCQE_ASSIGN_OR_RETURN(std::future<Result<QueryOutcome>> future,
+                          SubmitAsync(session, std::move(request)));
+    return future.get();
   }
-  // Bounded retry with exponential backoff on retryable admission
-  // rejections (queue full or shed — a shut-down service never comes
-  // back, so that rejection is final). The backoff never outlives the
-  // request's own deadline: sleeping past it would only convert a crisp
-  // rejection into a guaranteed in-queue expiry.
-  for (size_t attempt = 0;; ++attempt) {
-    Result<std::future<Result<QueryOutcome>>> future = SubmitAsync(session, request);
-    if (future.ok()) return future->get();
-    if (!future.status().IsResourceExhausted() ||
-        attempt >= options_.admission_retries) {
-      return future.status();
-    }
-    {
-      MutexLock guard(queue_mu_);
-      if (!accepting_) return future.status();
-    }
-    int64_t backoff_ms = std::min<int64_t>(
-        std::max<int64_t>(1, options_.retry_backoff_ms)
-            << std::min<size_t>(attempt, 8),
-        250);
-    if (deadline.RemainingSeconds() * 1000.0 <= static_cast<double>(backoff_ms)) {
-      return future.status();
-    }
-    stats_.OnRetried();
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-  }
+  // No workers to hand off to: process on the caller's thread.
+  PendingRequest pending = MakePending(session, std::move(request));
+  std::future<Result<QueryOutcome>> future = pending.promise.get_future();
+  metrics_.submitted->Increment();
+  Process(std::move(pending));
+  return future.get();
 }
 
 Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
@@ -288,7 +287,7 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
     size_t lanes = std::max<size_t>(
         1, std::min(budget, hw / std::max<size_t>(1, active)));
     engine_request.solver_lanes = SolverParallelism{lanes};
-    solver_lanes_gauge_->Set(static_cast<int64_t>(lanes));
+    metrics_.solver_lanes->Set(static_cast<int64_t>(lanes));
     // Completion copies the shared evaluation into the outcome: rows are
     // duplicated, the lineage arena is shared by shared_ptr and read-only.
     PCQE_ASSIGN_OR_RETURN(QueryOutcome completed,
@@ -297,11 +296,6 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
     return completed;
   }();
 
-  if (outcome.ok()) {
-    stats_.OnServed();
-  } else {
-    stats_.OnFailed();
-  }
   if (trace.has_value()) {
     uint64_t trace_id = tracer_->Record(trace->Finish());
     if (outcome.ok()) outcome->trace_id = trace_id;
@@ -311,27 +305,24 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
 }
 
 void QueryService::Process(PendingRequest pending) {
+  Status injected;
   if (FaultInjector::Global().enabled()) {
-    Status injected = FaultInjector::Global().Probe(fault_sites::kWorkerProcess);
-    if (!injected.ok()) {
-      stats_.OnFailed();
-      pending.promise.set_value(std::move(injected));
-      return;
-    }
+    injected = FaultInjector::Global().Probe(fault_sites::kWorkerProcess);
   }
-  if (pending.deadline.Expired()) {
-    stats_.OnExpired();
-    PCQE_LOG(Warning) << "request expired after "
-                      << ElapsedUs(pending.enqueued) / 1000 << "ms in queue";
-    pending.promise.set_value(Status::ResourceExhausted(
-        StrFormat("deadline expired after %llums in queue",
-                  static_cast<unsigned long long>(
-                      ElapsedUs(pending.enqueued) / 1000))));
+  if (injected.ok() && pending.deadline.Expired()) {
+    metrics_.expired->Increment();
+    uint64_t waited_ms = ElapsedUs(pending.enqueued) / 1000;
+    PCQE_LOG(Warning) << "request expired after " << waited_ms << "ms in queue";
+    pending.promise.set_value(Status::ResourceExhausted(StrFormat(
+        "deadline expired after %llums in queue", static_cast<unsigned long long>(waited_ms))));
     return;
   }
   Result<QueryOutcome> outcome =
-      Execute(pending.session, pending.request, pending.enqueued, pending.deadline);
-  stats_.RecordLatencyUs(ElapsedUs(pending.enqueued));
+      injected.ok()
+          ? Execute(pending.session, pending.request, pending.enqueued, pending.deadline)
+          : Result<QueryOutcome>(std::move(injected));
+  (outcome.ok() ? metrics_.served : metrics_.failed)->Increment();
+  metrics_.latency_us->Observe(static_cast<double>(ElapsedUs(pending.enqueued)));
   pending.promise.set_value(std::move(outcome));
 }
 
@@ -412,23 +403,30 @@ void QueryService::Shutdown() {
     leftover.swap(queue_);
   }
   for (PendingRequest& pending : leftover) {
-    stats_.OnShutdownDropped();
+    metrics_.shutdown_dropped->Increment();
     pending.promise.set_value(
         Status::ResourceExhausted("query service shut down before execution"));
   }
 }
 
+std::string ServiceStatsSnapshot::ToString() const {
+  return StrFormat(
+      "cache: %llu hits, %llu misses (%.1f%% hit rate), %llu evictions, %zu entries\n"
+      "queue depth: %zu; active sessions: %zu\n",
+      static_cast<unsigned long long>(cache_hits),
+      static_cast<unsigned long long>(cache_misses), cache_hit_rate() * 100.0,
+      static_cast<unsigned long long>(cache_evictions), cache_entries, queue_depth,
+      active_sessions);
+}
+
 ServiceStatsSnapshot QueryService::stats() const {
-  ServiceStatsSnapshot snapshot;
-  stats_.FillSnapshot(&snapshot);
   ConfidenceResultCache::Stats cache_stats = cache_.stats();
-  snapshot.cache_hits = cache_stats.hits;
-  snapshot.cache_misses = cache_stats.misses;
-  snapshot.cache_evictions = cache_stats.evictions;
-  snapshot.cache_entries = cache_stats.entries;
-  snapshot.queue_depth = queue_depth();
-  snapshot.active_sessions = sessions_.active_count();
-  return snapshot;
+  return ServiceStatsSnapshot{.cache_hits = cache_stats.hits,
+                              .cache_misses = cache_stats.misses,
+                              .cache_evictions = cache_stats.evictions,
+                              .cache_entries = cache_stats.entries,
+                              .queue_depth = queue_depth(),
+                              .active_sessions = sessions_.active_count()};
 }
 
 size_t QueryService::queue_depth() const {
@@ -437,14 +435,14 @@ size_t QueryService::queue_depth() const {
 }
 
 void QueryService::RefreshGauges() {
-  queue_depth_gauge_->Set(static_cast<int64_t>(queue_depth()));
-  active_sessions_gauge_->Set(static_cast<int64_t>(sessions_.active_count()));
-  active_requests_gauge_->Set(
+  metrics_.queue_depth->Set(static_cast<int64_t>(queue_depth()));
+  metrics_.active_sessions->Set(static_cast<int64_t>(sessions_.active_count()));
+  metrics_.active_requests->Set(
       static_cast<int64_t>(active_requests_.load(std::memory_order_relaxed)));
-  cache_entries_gauge_->Set(static_cast<int64_t>(cache_.stats().entries));
+  metrics_.cache_entries->Set(static_cast<int64_t>(cache_.stats().entries));
   ThreadPool& pool = ThreadPool::Shared();
-  pool_queue_depth_gauge_->Set(static_cast<int64_t>(pool.queue_depth()));
-  pool_busy_workers_gauge_->Set(static_cast<int64_t>(pool.busy_workers()));
+  metrics_.pool_queue_depth->Set(static_cast<int64_t>(pool.queue_depth()));
+  metrics_.pool_busy_workers->Set(static_cast<int64_t>(pool.busy_workers()));
 }
 
 std::string QueryService::RenderMetricsText() {

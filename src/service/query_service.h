@@ -7,15 +7,15 @@
 // single-threaded `PcqeEngine`:
 //
 //   * a fixed-size pool of `std::jthread` workers over a bounded request
-//     queue with admission control (`kResourceExhausted` on overflow),
-//     optional overload shedding that trips before the queue overflows, a
-//     bounded retry-with-backoff loop in the blocking `Submit`, and
-//     per-request deadlines that propagate into the engine's solvers
-//     (anytime partial results; see `QueryRequest::deadline`);
+//     queue with admission control (one `kResourceExhausted` when the queue
+//     is full or the service is shut down) and per-request deadlines that
+//     propagate into the engine's solvers (anytime partial results; see
+//     `QueryRequest::deadline`);
 //   * sessions (session.h) that authenticate once and pin β;
 //   * a shared `ConfidenceResultCache` (result_cache.h) so concurrent
 //     sessions reuse one lineage evaluation per distinct query;
-//   * built-in counters (service_stats.h).
+//   * request counters and a latency histogram (`pcqe_service_*`) in the
+//     telemetry registry, read through `telemetry()`.
 //
 // Concurrency protocol (lock order: engine catalog_mu -> cache-internal
 // mutex; queue_mu_ is never held together with either):
@@ -49,7 +49,6 @@
 #include "common/deadline.h"
 #include "engine/pcqe_engine.h"
 #include "service/result_cache.h"
-#include "service/service_stats.h"
 #include "service/session.h"
 #include "storage/storage_manager.h"
 #include "telemetry/metrics.h"
@@ -65,18 +64,6 @@ struct ServiceOptions {
   /// Admission bound: submissions beyond this many queued requests are
   /// rejected with `kResourceExhausted`.
   size_t queue_capacity = 64;
-  /// Blocking `Submit` re-attempts after a retryable `kResourceExhausted`
-  /// admission rejection (queue full or shed — never after shutdown), with
-  /// exponential backoff starting at `retry_backoff_ms` and bounded by the
-  /// request's own deadline. 0 (default) keeps the historical fail-fast
-  /// behavior; `SubmitAsync` never retries.
-  size_t admission_retries = 0;
-  int64_t retry_backoff_ms = 1;
-  /// Overload shedding: reject (`kResourceExhausted`, counted as shed) once
-  /// this many requests are queued, tripping *before* the hard
-  /// `queue_capacity` bound so latecomers fail fast while the queue can
-  /// still absorb retries. 0 (default) disables shedding.
-  size_t shed_watermark = 0;
   /// Entry bound of the confidence-result cache; 0 disables caching.
   size_t cache_capacity = 128;
   /// Metrics registry and trace ring the service publishes to. Borrowed
@@ -98,6 +85,29 @@ struct ServiceOptions {
   /// reads, but `Accept` returns the stored failure instead of mutating a
   /// catalog it could not make durable (see `durability_status()`).
   DurabilityOptions durability = {};
+};
+
+/// \brief Point-in-time view of the service components that live outside
+/// the telemetry registry: the result cache, the queue and the session
+/// table. Request counts and latency are registry instruments
+/// (`pcqe_service_*`), read through `QueryService::telemetry()`.
+struct ServiceStatsSnapshot {
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t cache_evictions = 0;
+  size_t cache_entries = 0;
+  size_t queue_depth = 0;  ///< Requests waiting at snapshot time.
+  size_t active_sessions = 0;
+
+  /// Hit fraction over all cache lookups; 0 when none happened yet.
+  double cache_hit_rate() const {
+    uint64_t lookups = cache_hits + cache_misses;
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(cache_hits) / static_cast<double>(lookups);
+  }
+
+  /// Two-line human-readable rendering (for the shell's `.stats`).
+  std::string ToString() const;
 };
 
 /// \brief One query submission through a session.
@@ -153,9 +163,9 @@ class QueryService {
   [[nodiscard]] Result<std::future<Result<QueryOutcome>>> SubmitAsync(
       const SessionHandle& session, ServiceRequest request);
 
-  /// Convenience blocking submission. With workers this waits on the future;
-  /// with `num_workers == 0` it executes inline on the caller's thread
-  /// (bypassing queue admission, still counted in the stats).
+  /// Blocking submission: `SubmitAsync(...)->get()` when there are workers;
+  /// with `num_workers == 0` the same request processing runs on the
+  /// caller's thread (bypassing queue admission, still counted).
   [[nodiscard]] Result<QueryOutcome> Submit(const SessionHandle& session,
                                             ServiceRequest request);
 
@@ -186,7 +196,11 @@ class QueryService {
   /// `kResourceExhausted`. Idempotent.
   void Shutdown();
 
-  /// Point-in-time counters (see ServiceStatsSnapshot for the invariant).
+  /// Cache, queue and session state right now. Request counters live in
+  /// `telemetry()`: once the service is idle, `submitted == served + failed
+  /// + expired + shutdown_dropped`, refusals count only as `rejected`, and
+  /// the latency histogram holds one observation per served or failed
+  /// request.
   [[nodiscard]] ServiceStatsSnapshot stats() const;
 
   /// Requests currently waiting for a worker.
@@ -202,7 +216,6 @@ class QueryService {
   }
 
   size_t num_workers() const { return workers_.size(); }
-  const ServiceOptions& options() const { return options_; }
 
   /// The registry / trace ring this service publishes to (service-owned
   /// unless supplied via `ServiceOptions`).
@@ -242,18 +255,21 @@ class QueryService {
   }
 
   /// Executes one request under the shared catalog lock: cache lookup,
-  /// evaluation on miss, per-subject completion. Updates the serve/fail
-  /// counters (the engine counts the decision itself). `enqueued` is the
-  /// trace origin (submission time), so the recorded trace duration covers
-  /// queue wait too; `deadline` is the remaining budget handed to the
-  /// engine's strategy solve.
+  /// evaluation on miss, per-subject completion (the engine counts the
+  /// decision itself). `enqueued` is the trace origin (submission time), so
+  /// the recorded trace duration covers queue wait too; `deadline` is the
+  /// remaining budget handed to the engine's strategy solve.
   Result<QueryOutcome> Execute(const SessionHandle& session,
                                const ServiceRequest& request,
                                std::chrono::steady_clock::time_point enqueued,
                                Deadline deadline);
 
-  /// Runs one dequeued request end to end (deadline check, execution,
-  /// latency recording) and fulfills its promise.
+  /// Stamps a request with its submission time and deadline.
+  static PendingRequest MakePending(const SessionHandle& session, ServiceRequest request);
+
+  /// Runs one admitted request end to end (deadline check, execution,
+  /// served/failed count, latency) and fulfills its promise — on a worker,
+  /// or on the caller's thread when the service has no workers.
   void Process(PendingRequest pending);
 
   /// Updates the point-in-time gauges from live component state.
@@ -281,19 +297,30 @@ class QueryService {
 
   SessionManager sessions_;
   ConfidenceResultCache cache_;
-  ServiceStats stats_;
 
   /// Requests currently inside `Execute` (drives the adaptive lane policy).
   std::atomic<size_t> active_requests_{0};
 
-  /// Point-in-time gauges, refreshed by `RefreshGauges`.
-  Gauge* queue_depth_gauge_;
-  Gauge* active_sessions_gauge_;
-  Gauge* active_requests_gauge_;
-  Gauge* cache_entries_gauge_;
-  Gauge* solver_lanes_gauge_;
-  Gauge* pool_queue_depth_gauge_;
-  Gauge* pool_busy_workers_gauge_;
+  /// Cached instrument pointers, registered in the constructor. Counters
+  /// and the histogram take relaxed increments on the request path; the
+  /// gauges are refreshed by `RefreshGauges`.
+  struct ServiceMetrics {
+    Counter* submitted = nullptr;
+    Counter* served = nullptr;
+    Counter* failed = nullptr;
+    Counter* rejected = nullptr;
+    Counter* expired = nullptr;
+    Counter* shutdown_dropped = nullptr;
+    Histogram* latency_us = nullptr;
+    Gauge* queue_depth = nullptr;
+    Gauge* active_sessions = nullptr;
+    Gauge* active_requests = nullptr;
+    Gauge* cache_entries = nullptr;
+    Gauge* solver_lanes = nullptr;
+    Gauge* pool_queue_depth = nullptr;
+    Gauge* pool_busy_workers = nullptr;
+  };
+  ServiceMetrics metrics_;
 
   mutable Mutex queue_mu_;
   std::condition_variable_any queue_cv_;

@@ -19,8 +19,6 @@ Result<SessionHandle> SessionManager::Open(const RoleGraph& roles,
   SessionHandle handle;
   handle.user = user;
   handle.purpose = purpose;
-  // ActiveRoles authenticates: unknown users come back kNotFound.
-  PCQE_ASSIGN_OR_RETURN(handle.roles, roles.ActiveRoles(user));
   PCQE_ASSIGN_OR_RETURN(handle.base_decision, policies.Resolve(roles, user, purpose));
 
   MutexLock guard(mu_);
@@ -36,16 +34,6 @@ Status SessionManager::Close(uint64_t id) {
                                       static_cast<unsigned long long>(id)));
   }
   return Status::OK();
-}
-
-Result<SessionHandle> SessionManager::Get(uint64_t id) const {
-  MutexLock guard(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::NotFound(StrFormat("session %llu is not open",
-                                      static_cast<unsigned long long>(id)));
-  }
-  return it->second;
 }
 
 size_t SessionManager::active_count() const {

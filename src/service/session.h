@@ -1,6 +1,6 @@
 // Copyright (c) PCQE contributors.
-// Sessions: authenticate a ⟨user, purpose⟩ pair once, pin the resolved role
-// set and confidence threshold, and hand out a handle for later requests.
+// Sessions: authenticate a ⟨user, purpose⟩ pair once, pin the resolved
+// confidence threshold, and hand out a handle for later requests.
 //
 // Controlled Query Evaluation systems enforce per-subject censoring at the
 // service boundary; the session is that boundary here. Opening a session
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/result.h"
@@ -36,8 +35,6 @@ struct SessionHandle {
   uint64_t id = 0;
   std::string user;
   std::string purpose;
-  /// The user's effective roles at open time (direct + inherited juniors).
-  std::vector<std::string> roles;
   /// Unscoped policy decision: pinned β and the policies behind it.
   PolicyDecision base_decision;
 
@@ -53,8 +50,8 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Authenticates `user` against `roles`, resolves the unscoped policy for
-  /// (user, purpose) in `policies`, and registers a new session. Unknown
+  /// Resolves the unscoped policy for (user, purpose) in `policies` against
+  /// `roles` and registers a new session. Resolution authenticates: unknown
   /// users yield `kNotFound`.
   [[nodiscard]] Result<SessionHandle> Open(const RoleGraph& roles,
                                            const PolicyStore& policies,
@@ -63,9 +60,6 @@ class SessionManager {
 
   /// Unregisters a session; `kNotFound` when the id is not open.
   [[nodiscard]] Status Close(uint64_t id);
-
-  /// Looks up an open session by id.
-  [[nodiscard]] Result<SessionHandle> Get(uint64_t id) const;
 
   /// Number of currently open sessions.
   size_t active_count() const;

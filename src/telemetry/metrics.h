@@ -57,9 +57,8 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief Fixed-bucket distribution (the service latency-bucket scheme
-/// generalized): `bounds` are inclusive upper bounds in ascending order, and
-/// an implicit +Inf bucket catches the rest.
+/// \brief Fixed-bucket distribution: `bounds` are inclusive upper bounds in
+/// ascending order, and an implicit +Inf bucket catches the rest.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "strategy/brute_force.h"
 #include "strategy/dnc.h"
 #include "strategy/greedy.h"
@@ -165,15 +166,17 @@ TEST(DifferentialTest, AllSolversAgreeWithBruteForce) {
 }
 
 TEST(DifferentialTest, DeadlineBoundedDncMatchesBruteFeasibility) {
-  // Anytime contract for a *bare* kDnc under a tight real deadline: the
-  // result must still be grid-valid and agree with brute force on
-  // feasibility. On these tiny monotone instances the deadline-bounded
-  // greedy primer finishes in microseconds, so even when the 5 ms budget
-  // cuts the fill off mid-raise the fallback incumbent keeps the verdict
-  // feasible — the regression this sweep pins down. Costs stay in the
+  // Anytime contract for a *bare* kDnc under a finite deadline: the result
+  // must still be grid-valid and agree with brute force on feasibility.
+  // Every seed runs twice under a budget of seconds, which the
+  // deadline-bounded greedy primer (microseconds on these tiny monotone
+  // instances) cannot miss even on a loaded machine: once uncut, and once
+  // with an injected `strategy.dnc.deadline` expiry that cuts the fill off
+  // at its first poll. The cut run must fall back to the primer's feasible
+  // incumbent — the regression this sweep pins down. Costs stay in the
   // documented band; optimality/completeness claims are not checked (a
   // deadline-stopped run is exempt from the bit-determinism contract).
-  size_t partial_runs = 0;
+  constexpr int64_t kBudgetMs = 10'000;
   for (uint64_t seed = 0; seed < kNumInstances; ++seed) {
     SCOPED_TRACE(::testing::Message()
                  << "seed " << seed << " — replay with GenerateWorkload(DiffParams("
@@ -185,21 +188,24 @@ TEST(DifferentialTest, DeadlineBoundedDncMatchesBruteFeasibility) {
     Result<IncrementSolution> brute = SolveBruteForce(*problem);
     ASSERT_TRUE(brute.ok()) << brute.status().ToString();
 
-    DncOptions options;
-    options.deadline = Deadline::AfterMillis(5);
-    Result<IncrementSolution> dnc = SolveDnc(*problem, options);
-    ASSERT_TRUE(dnc.ok()) << dnc.status().ToString();
-    Status valid = ValidateSolution(*problem, *dnc);
-    ASSERT_TRUE(valid.ok()) << valid.ToString();
-    EXPECT_EQ(dnc->feasible, brute->feasible);
-    if (dnc->partial) ++partial_runs;
-    if (brute->feasible) {
-      EXPECT_GE(dnc->total_cost, brute->total_cost - 1e-6);
-      EXPECT_LE(dnc->total_cost, CeilingCost(*problem) + 1e-6);
+    for (bool cut : {false, true}) {
+      SCOPED_TRACE(cut ? "fill cut by an injected expiry" : "uncut");
+      if (cut) FaultInjector::Global().Arm(fault_sites::kDncDeadline, {});
+      DncOptions options;
+      options.deadline = Deadline::AfterMillis(kBudgetMs);
+      Result<IncrementSolution> dnc = SolveDnc(*problem, options);
+      FaultInjector::Global().DisarmAll();
+      ASSERT_TRUE(dnc.ok()) << dnc.status().ToString();
+      Status valid = ValidateSolution(*problem, *dnc);
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
+      EXPECT_EQ(dnc->feasible, brute->feasible);
+      EXPECT_EQ(dnc->partial, cut);
+      if (brute->feasible) {
+        EXPECT_GE(dnc->total_cost, brute->total_cost - 1e-6);
+        EXPECT_LE(dnc->total_cost, CeilingCost(*problem) + 1e-6);
+      }
     }
   }
-  // Informational only: on a fast machine most runs complete inside 5 ms.
-  (void)partial_runs;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "common/fault_injection.h"
 #include "service/query_service.h"
+#include "service_counts.h"
 #include "storage/storage_manager.h"
 #include "strategy/dnc.h"
 #include "strategy/greedy.h"
@@ -358,42 +359,41 @@ TEST_F(FaultInjectionTest, WorkerProcessFaultFailsPromiseNotThePool) {
   Result<QueryOutcome> failed = service.Submit(mary, request);
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("synthetic outage"), std::string::npos);
-  EXPECT_EQ(service.stats().failed, 1u);
+  EXPECT_EQ(ReadServiceCounts(service).failed, 1u);
 
   // The worker survived the injected failure and serves the next request.
   EXPECT_TRUE(service.Submit(mary, request).ok());
   service.Shutdown();
 }
 
-TEST_F(FaultInjectionTest, AdmissionFaultIsRetriedToSuccess) {
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.admission_retries = 3;
-  options.retry_backoff_ms = 1;
-  QueryService service(engine_.get(), options);
+TEST_F(FaultInjectionTest, ZeroWorkerSubmitProcessesLikeAWorker) {
+  // Without workers, Submit runs the worker's request processing on the
+  // caller's thread, so the worker-process site fires there too.
+  QueryService service(engine_.get(), {.num_workers = 0});
   SessionHandle mary = *service.OpenSession("mary", "investment");
-
-  FaultInjector::SiteConfig config;
-  config.code = StatusCode::kResourceExhausted;
-  config.fire_count = 2;  // first two admission attempts bounce
-  FaultInjector::Global().Arm(fault_sites::kAdmission, config);
-
   ServiceRequest request;
   request.sql = kCandidateQuery;
   request.required_fraction = 0.0;
-  Result<QueryOutcome> outcome = service.Submit(mary, request);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(service.stats().retried, 2u);
-  EXPECT_GE(FaultInjector::Global().hits(fault_sites::kAdmission), 3u);
+
+  FaultInjector::SiteConfig config = SyntheticOutage();
+  config.fire_count = 1;
+  FaultInjector::Global().Arm(fault_sites::kWorkerProcess, config);
+  Result<QueryOutcome> failed = service.Submit(mary, request);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("synthetic outage"), std::string::npos);
+  EXPECT_EQ(ReadServiceCounts(service).failed, 1u);
+
+  EXPECT_TRUE(service.Submit(mary, request).ok());
+  ServiceCounts counts = ReadServiceCounts(service);
+  EXPECT_EQ(counts.submitted, 2u);
+  EXPECT_EQ(counts.served, 1u);
+  EXPECT_EQ(counts.failed, 1u);
+  EXPECT_EQ(counts.latency_count, 2u);
   service.Shutdown();
 }
 
-TEST_F(FaultInjectionTest, AdmissionFaultExhaustsBoundedRetries) {
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.admission_retries = 2;
-  options.retry_backoff_ms = 1;
-  QueryService service(engine_.get(), options);
+TEST_F(FaultInjectionTest, AdmissionFaultRejectsBlockingSubmitOnce) {
+  QueryService service(engine_.get(), {.num_workers = 1});
   SessionHandle mary = *service.OpenSession("mary", "investment");
 
   FaultInjector::SiteConfig config;
@@ -406,7 +406,15 @@ TEST_F(FaultInjectionTest, AdmissionFaultExhaustsBoundedRetries) {
   Result<QueryOutcome> outcome = service.Submit(mary, request);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsResourceExhausted());
-  EXPECT_EQ(service.stats().retried, 2u);
+  // One admission attempt, one rejection, nothing enqueued.
+  EXPECT_EQ(FaultInjector::Global().hits(fault_sites::kAdmission), 1u);
+  ServiceCounts counts = ReadServiceCounts(service);
+  EXPECT_EQ(counts.rejected, 1u);
+  EXPECT_EQ(counts.submitted, 0u);
+
+  FaultInjector::Global().Disarm(fault_sites::kAdmission);
+  EXPECT_TRUE(service.Submit(mary, request).ok());
+  EXPECT_EQ(ReadServiceCounts(service).rejected, 1u);
   service.Shutdown();
 }
 

@@ -1,5 +1,5 @@
 // Tests for the service layer: sessions, the confidence-result cache,
-// admission control, deadlines, shutdown and the stats counters.
+// admission control, deadlines, shutdown and the request counters.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "common/logging.h"
 #include "service/query_service.h"
+#include "service_counts.h"
 
 namespace pcqe {
 namespace {
@@ -92,11 +93,10 @@ TEST(NormalizeSqlTest, CanonicalizesWhitespaceAndSemicolon) {
   EXPECT_EQ(NormalizeSql(""), "");
 }
 
-TEST_F(QueryServiceTest, OpenSessionPinsRolesAndThreshold) {
+TEST_F(QueryServiceTest, OpenSessionPinsThreshold) {
   auto service = MakeService({.num_workers = 1});
   SessionHandle mary = *service->OpenSession("mary", "investment");
   EXPECT_EQ(mary.user, "mary");
-  EXPECT_EQ(mary.roles, std::vector<std::string>{"Manager"});
   EXPECT_DOUBLE_EQ(mary.base_decision.threshold, 0.06);
   EXPECT_NE(mary.ToString().find("mary/investment"), std::string::npos);
 
@@ -231,11 +231,11 @@ TEST_F(QueryServiceTest, AdmissionControlRejectsOnOverflow) {
   for (auto& future : accepted) {
     EXPECT_TRUE(future.get().status().IsResourceExhausted());  // dropped
   }
-  ServiceStatsSnapshot stats = service->stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.shutdown_dropped, 2u);
-  EXPECT_EQ(stats.queue_depth, 0u);
+  ServiceCounts counts = ReadServiceCounts(*service);
+  EXPECT_EQ(counts.submitted, 2u);
+  EXPECT_EQ(counts.rejected, 1u);
+  EXPECT_EQ(counts.shutdown_dropped, 2u);
+  EXPECT_EQ(service->stats().queue_depth, 0u);
 }
 
 TEST_F(QueryServiceTest, SubmitAfterShutdownIsRejected) {
@@ -244,6 +244,12 @@ TEST_F(QueryServiceTest, SubmitAfterShutdownIsRejected) {
   service->Shutdown();
   EXPECT_TRUE(
       service->SubmitAsync(sam, {.sql = kCandidateQuery}).status().IsResourceExhausted());
+  // The blocking path is refused as well, never run on the caller's thread
+  // just because the stopped workers are gone.
+  EXPECT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).status().IsResourceExhausted());
+  ServiceCounts counts = ReadServiceCounts(*service);
+  EXPECT_EQ(counts.rejected, 2u);
+  EXPECT_EQ(counts.submitted, 0u);
   service->Shutdown();  // idempotent
 }
 
@@ -264,17 +270,16 @@ TEST_F(QueryServiceTest, QueuedDeadlineExpires) {
   Result<QueryOutcome> outcome = hurried->get();
   // Either the queue was slow enough (expired) or the machine raced through
   // 30 evaluations in under a millisecond (served); both are legal, but the
-  // stats must agree with whichever happened.
-  ServiceStatsSnapshot stats;
+  // counters must agree with whichever happened.
   for (auto& future : backlog) (void)future.get();
-  stats = service->stats();
+  ServiceCounts counts = ReadServiceCounts(*service);
   if (!outcome.ok()) {
     EXPECT_TRUE(outcome.status().IsResourceExhausted());
-    EXPECT_GE(stats.expired, 1u);
+    EXPECT_GE(counts.expired, 1u);
   } else {
-    EXPECT_EQ(stats.expired, 0u);
+    EXPECT_EQ(counts.expired, 0u);
   }
-  EXPECT_EQ(stats.submitted, stats.served + stats.expired);
+  EXPECT_EQ(counts.submitted, counts.served + counts.expired);
 }
 
 TEST_F(QueryServiceTest, EngineErrorsCountAsFailed) {
@@ -285,9 +290,9 @@ TEST_F(QueryServiceTest, EngineErrorsCountAsFailed) {
       service->Submit(sam, {.sql = kCandidateQuery, .required_fraction = 2.0})
           .status()
           .IsInvalidArgument());
-  ServiceStatsSnapshot stats = service->stats();
-  EXPECT_EQ(stats.failed, 2u);
-  EXPECT_EQ(stats.served, 0u);
+  ServiceCounts counts = ReadServiceCounts(*service);
+  EXPECT_EQ(counts.failed, 2u);
+  EXPECT_EQ(counts.served, 0u);
 }
 
 TEST_F(QueryServiceTest, ZeroRowQueryServesWithFullFraction) {
@@ -338,9 +343,12 @@ TEST_F(QueryServiceTest, StatsSnapshotFormats) {
   SessionHandle sam = *service->OpenSession("sam", "analysis");
   ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
   std::string rendered = service->stats().ToString();
-  EXPECT_NE(rendered.find("1 served"), std::string::npos);
   EXPECT_NE(rendered.find("hit rate"), std::string::npos);
-  EXPECT_NE(rendered.find("latency"), std::string::npos);
+  EXPECT_NE(rendered.find("active sessions: 1"), std::string::npos);
+  // Request counts and latency render with the rest of the registry.
+  std::string metrics = service->RenderMetricsText();
+  EXPECT_NE(metrics.find("pcqe_service_requests_served_total 1"), std::string::npos);
+  EXPECT_NE(metrics.find("pcqe_service_latency_us_count 1"), std::string::npos);
 }
 
 TEST_F(QueryServiceTest, DestructorDrainsOutstandingWork) {
@@ -510,17 +518,16 @@ TEST_F(QueryServiceTest, RegistryCountersMatchSnapshot) {
   ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
   ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
 
-  // The legacy snapshot API reads the same registry instruments.
+  // The snapshot's cache fields read the same registry instruments.
   ServiceStatsSnapshot snapshot = service->stats();
   TelemetryRegistry* registry = service->telemetry();
-  EXPECT_EQ(registry->GetCounter("pcqe_service_requests_submitted_total")->value(),
-            snapshot.submitted);
-  EXPECT_EQ(registry->GetCounter("pcqe_service_requests_served_total")->value(),
-            snapshot.served);
   EXPECT_EQ(registry->GetCounter("pcqe_cache_hits_total")->value(),
             snapshot.cache_hits);
-  EXPECT_EQ(snapshot.served, 2u);
   EXPECT_EQ(snapshot.cache_hits, 1u);
+  ServiceCounts counts = ReadServiceCounts(*service);
+  EXPECT_EQ(counts.submitted, 2u);
+  EXPECT_EQ(counts.served, 2u);
+  EXPECT_EQ(counts.latency_count, 2u);
 
   std::string text = service->RenderMetricsText();
   EXPECT_NE(text.find("pcqe_service_requests_served_total 2"), std::string::npos);
@@ -530,6 +537,15 @@ TEST_F(QueryServiceTest, RegistryCountersMatchSnapshot) {
 
   std::string json = service->MetricsJson();
   EXPECT_NE(json.find("\"pcqe_service_requests_served_total\":2"),
+            std::string::npos);
+}
+
+TEST_F(QueryServiceTest, LatencyHistogramHasOneTwoFiveBucketsPerDecade) {
+  auto service = MakeService({.num_workers = 1});
+  EXPECT_NE(service->MetricsJson().find(
+                "\"pcqe_service_latency_us\":{\"bounds\":[100,200,500,1000,2000,5000,"
+                "10000,20000,50000,100000,200000,500000,1000000,2000000,5000000,"
+                "10000000]"),
             std::string::npos);
 }
 
@@ -591,26 +607,6 @@ TEST_F(QueryServiceTest, SharedRegistryAcrossEngineAndService) {
   ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
   EXPECT_EQ(registry.GetCounter("pcqe_engine_queries_total")->value(), 1u);
   EXPECT_EQ(tracer.total_recorded(), 1u);
-}
-
-TEST_F(QueryServiceTest, ShedWatermarkTripsBeforeQueueOverflow) {
-  // Zero workers: the queue never drains, so admission arithmetic is exact.
-  // Capacity 8 would admit four requests; the watermark sheds at two queued.
-  auto service =
-      MakeService({.num_workers = 0, .queue_capacity = 8, .shed_watermark = 2});
-  SessionHandle sam = *service->OpenSession("sam", "analysis");
-  ASSERT_TRUE(service->SubmitAsync(sam, {.sql = kCandidateQuery}).ok());
-  ASSERT_TRUE(service->SubmitAsync(sam, {.sql = kCandidateQuery}).ok());
-
-  auto shed = service->SubmitAsync(sam, {.sql = kCandidateQuery});
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsResourceExhausted());
-  EXPECT_NE(shed.status().message().find("overloaded"), std::string::npos);
-
-  ServiceStatsSnapshot stats = service->stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.rejected, 1u);  // shed requests count as rejected too
-  EXPECT_EQ(stats.submitted, 2u);
 }
 
 TEST_F(QueryServiceTest, DeadlinedSubmitReturnsFeasiblePartialInTime) {

@@ -229,7 +229,7 @@ TEST_F(ShellTest, ServeSessionWorkflow) {
   EXPECT_TRUE(shell_.service() != nullptr);
   EXPECT_FALSE(shell_.in_session());
 
-  // Unknown users cannot open sessions; known ones pin role set + threshold.
+  // Unknown users cannot open sessions; known ones pin the threshold.
   EXPECT_NE(Feed(".session ghost reporting").find("not_found"), std::string::npos);
   std::string opened = Feed(".session alice reporting");
   EXPECT_NE(opened.find("alice/reporting"), std::string::npos);
@@ -241,11 +241,13 @@ TEST_F(ShellTest, ServeSessionWorkflow) {
   EXPECT_NE(result.find("1 of 2 row(s) released"), std::string::npos);
   EXPECT_NE(result.find("via service"), std::string::npos);
 
-  // The same query again is a cache hit; .stats reports the counters.
+  // The same query again is a cache hit; .stats reports the cache and
+  // .metrics the request counters.
   Feed("SELECT site, reading FROM sensors;");
   std::string stats = Feed(".stats");
-  EXPECT_NE(stats.find("2 served"), std::string::npos);
   EXPECT_NE(stats.find("cache: 1 hits"), std::string::npos);
+  std::string metrics = Feed(".metrics");
+  EXPECT_NE(metrics.find("pcqe_service_requests_served_total 2"), std::string::npos);
 
   // .accept routes through the service so the catalog write is serialized
   // against in-flight queries, and the cache is invalidated by version bump.

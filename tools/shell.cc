@@ -258,7 +258,7 @@ void Shell::CmdHelp() {
            "  .serve [workers]              start the concurrent query service\n"
            "  .session <user> [purpose]     open a service session (SQL runs through it)\n"
            "  .session off                  drop back to direct engine submission\n"
-           "  .stats                        service counters (cache, queue, latency)\n"
+           "  .stats                        service cache, queue and sessions\n"
            "  .metrics [json]               telemetry registry (Prometheus text / JSON)\n"
            "  .trace [<id>]                 recorded query traces (latest, or by id)\n"
            "  .audit [json|<id>]            policy-compliance audit log (latest, JSON,\n"
