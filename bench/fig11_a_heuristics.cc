@@ -94,7 +94,7 @@ int Run() {
       }
       total_time += timer.ElapsedSeconds();
       total_cost += solution->total_cost;
-      total_nodes += solution->nodes_explored;
+      total_nodes += solution->effort.nodes_expanded;
       effort.MergeFrom(solution->effort);
       if (!solution->feasible) std::fprintf(stderr, "warning: infeasible seed %llu\n",
                                             static_cast<unsigned long long>(seed));

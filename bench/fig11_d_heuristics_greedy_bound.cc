@@ -101,7 +101,7 @@ int Run() {
       if (!bounded.ok()) return 1;
       bounded_time += timer.ElapsedSeconds();
       total_cost += bounded->total_cost;
-      bounded_nodes += bounded->nodes_explored;
+      bounded_nodes += bounded->effort.nodes_expanded;
       effort.MergeFrom(bounded->effort);
     }
     char ratio[32];

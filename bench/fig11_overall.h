@@ -101,7 +101,7 @@ inline int RunOverallSweep(std::vector<OverallRow>* rows) {
       auto s = SolveHeuristic(*problem, options);
       if (!s.ok()) return 1;
       row.heuristic = OverallCell{timer.ElapsedSeconds(), s->total_cost,
-                                  s->search_complete};
+                                  !s->partial()};
       EmitEffortLine("fig11_overall",
                      ("heuristic_n" + std::to_string(data_size)).c_str(),
                      s->effort);

@@ -47,7 +47,7 @@ void EmitLine(const char* solver, int64_t deadline_ms, double seconds,
       "\"deadline_ms\":%lld,\"seconds\":%.4f,\"cost\":%.6f,"
       "\"feasible\":%s,\"partial\":%s}\n",
       solver, static_cast<long long>(deadline_ms), seconds, s.total_cost,
-      s.feasible ? "true" : "false", s.partial ? "true" : "false");
+      s.feasible ? "true" : "false", s.partial() ? "true" : "false");
 }
 
 void AddRow(TablePrinter* table, const char* solver, int64_t deadline_ms,
@@ -56,7 +56,7 @@ void AddRow(TablePrinter* table, const char* solver, int64_t deadline_ms,
                  deadline_ms == 0 ? std::string("none")
                                   : std::to_string(deadline_ms) + "ms",
                  FormatSeconds(seconds), FormatCost(s.total_cost),
-                 s.feasible ? "yes" : "no", s.partial ? "yes" : "no"});
+                 s.feasible ? "yes" : "no", s.partial() ? "yes" : "no"});
 }
 
 /// Figure-11(a) shape scaled up so the exact search needs ~100ms even with

@@ -147,7 +147,7 @@ int SweepHeuristic(TablePrinter* table) {
     }
     // Both searches are complete, so both costs are the optimum; incumbent
     // timing differs across lanes, hence tolerance instead of equality.
-    bool matches = s->search_complete &&
+    bool matches = !s->partial() &&
                    std::abs(s->total_cost - baseline_cost) <= 1e-9;
     EmitLine("heuristic", params.num_base_tuples, threads, seconds, *s,
              baseline_seconds, matches);
@@ -162,7 +162,7 @@ int SweepHeuristic(TablePrinter* table) {
                    "FAIL: heuristic cost diverged at %zu threads "
                    "(%.9f vs %.9f, complete=%d)\n",
                    threads, s->total_cost, baseline_cost,
-                   s->search_complete ? 1 : 0);
+                   s->partial() ? 0 : 1);
       return 1;
     }
   }

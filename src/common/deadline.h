@@ -7,8 +7,9 @@
 // stamps it at admission, the engine forwards it into solver options, and
 // every solver phase compares against the same instant. `SolveControl`
 // bundles the deadline with an optional caller-owned `CancelToken` and a
-// fault-injection site, and is the only thing solver loops poll — a raw
-// `steady_clock::now()` comparison in src/strategy/ or src/service/ is a
+// fault-injection site, and is the only thing solver loops poll. Solvers
+// read no clock of their own: a `Stopwatch` or `*_clock` in src/strategy/,
+// or a raw `steady_clock::now()` comparison there or in src/service/, is a
 // lint error (`deadline` rule in tools/pcqe_lint.py).
 
 #ifndef PCQE_COMMON_DEADLINE_H_
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 #include "common/fault_injection.h"
 
@@ -83,12 +85,31 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// Why a `SolveControl` tripped.
-enum class StopCause : uint8_t {
-  kNone = 0,
-  kDeadline = 1,
-  kCancelled = 2,
+/// \brief Why a solver returned when it did.
+///
+/// Anything other than `kComplete` marks the solution partial: the
+/// algorithm was stopped before its natural end and returned its best
+/// anytime state (B&B's incumbent, greedy's phase-1 state, D&C's merged
+/// partial). Partial solutions still satisfy every `ValidateSolution`
+/// invariant — the β filter is never relaxed — they just drop the
+/// optimality / full-coverage claim.
+enum class SolveStop : uint8_t {
+  kComplete = 0,    ///< natural end: the algorithm's full answer
+  kNodeBudget = 1,  ///< `max_nodes` exhausted (exact searches)
+  kDeadline = 2,    ///< the `Deadline` expired
+  kCancelled = 3,   ///< the caller's `CancelToken` fired
 };
+
+/// Canonical lowercase name ("complete", "deadline", ...).
+inline std::string_view SolveStopToString(SolveStop stop) {
+  switch (stop) {
+    case SolveStop::kComplete: return "complete";
+    case SolveStop::kNodeBudget: return "node_budget";
+    case SolveStop::kDeadline: return "deadline";
+    case SolveStop::kCancelled: return "cancelled";
+  }
+  return "unknown";
+}
 
 /// \brief The poll object solver loops check at node/phase boundaries.
 ///
@@ -121,16 +142,16 @@ class SolveControl {
   bool StopNow() {
     if (!active_) return false;
     if (cause_.load(std::memory_order_relaxed) != 0) return true;
-    StopCause cause = StopCause::kNone;
+    SolveStop cause = SolveStop::kComplete;
     if (cancel_ != nullptr && cancel_->cancelled()) {
-      cause = StopCause::kCancelled;
+      cause = SolveStop::kCancelled;
     } else if (deadline_.Expired()) {
-      cause = StopCause::kDeadline;
+      cause = SolveStop::kDeadline;
     } else if (fault_site_ != nullptr &&
                FaultInjector::Global().DeadlineFires(fault_site_)) {
-      cause = StopCause::kDeadline;
+      cause = SolveStop::kDeadline;
     }
-    if (cause == StopCause::kNone) return false;
+    if (cause == SolveStop::kComplete) return false;
     uint8_t expected = 0;
     cause_.compare_exchange_strong(expected, static_cast<uint8_t>(cause),
                                    std::memory_order_relaxed);
@@ -149,8 +170,10 @@ class SolveControl {
 
   bool stopped() const { return cause_.load(std::memory_order_relaxed) != 0; }
 
-  StopCause cause() const {
-    return static_cast<StopCause>(cause_.load(std::memory_order_relaxed));
+  /// The latched cause (`kDeadline` or `kCancelled`); `kComplete` while
+  /// the control has not stopped.
+  SolveStop cause() const {
+    return static_cast<SolveStop>(cause_.load(std::memory_order_relaxed));
   }
 
  private:

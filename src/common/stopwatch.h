@@ -1,6 +1,6 @@
 // Copyright (c) PCQE contributors.
-// Wall-clock stopwatch for benches and the per-group time budgets in the
-// divide-and-conquer solver.
+// Wall-clock stopwatch for the engine's solve timing, benches and tests.
+// Solvers never use it: wall clock reaches a solve only through `Deadline`.
 
 #ifndef PCQE_COMMON_STOPWATCH_H_
 #define PCQE_COMMON_STOPWATCH_H_

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/fault_injection.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "query/parser.h"
 #include "query/planner.h"
@@ -457,6 +458,8 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
                     ? SolverKind::kHeuristic
                     : SolverKind::kDnc;
   }
+  // The engine times the solver call; solvers themselves read no clock.
+  Stopwatch solve_timer;
   Result<IncrementSolution> solved = [&]() -> Result<IncrementSolution> {
     switch (effective) {
       case SolverKind::kHeuristic: {
@@ -489,25 +492,28 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
     }
     return Status::Internal("unresolved solver kind");
   }();
+  const double solve_seconds = solve_timer.ElapsedSeconds();
   if (!solved.ok()) return solved.status();
   const IncrementSolution& solution = *solved;
   PCQE_RETURN_NOT_OK(ValidateSolution(problem, solution));
 
+  const auto effort_items = solution.effort.Items();
   if (metrics_.proposals != nullptr) {
     metrics_.proposals->Increment();
-    metrics_.solve_seconds->Observe(solution.solve_seconds);
-    if (solution.partial) metrics_.partial->Increment();
+    metrics_.solve_seconds->Observe(solve_seconds);
+    if (solution.partial()) metrics_.partial->Increment();
     if (solution.stop == SolveStop::kDeadline) metrics_.deadline_exceeded->Increment();
-    const auto items = solution.effort.Items();
-    for (size_t i = 0; i < items.size() && i < metrics_.solver_effort.size(); ++i) {
-      metrics_.solver_effort[i]->Increment(items[i].second);
+    for (size_t i = 0; i < effort_items.size() && i < metrics_.solver_effort.size(); ++i) {
+      metrics_.solver_effort[i]->Increment(effort_items[i].second);
     }
   }
   span.Annotate("algorithm", solution.algorithm);
   span.Annotate("cost", FormatDouble(solution.total_cost, 4));
   span.Annotate("feasible", solution.feasible ? "yes" : "no");
-  span.Annotate("nodes", std::to_string(solution.nodes_explored));
-  if (solution.partial) {
+  for (const auto& [name, value] : effort_items) {
+    if (value != 0) span.Annotate(name, std::to_string(value));
+  }
+  if (solution.partial()) {
     span.Annotate("partial", "yes");
     span.Annotate("stop", std::string(SolveStopToString(solution.stop)));
   }
@@ -518,9 +524,9 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
   proposal.total_cost = solution.total_cost;
   proposal.actions = solution.Actions(problem);
   proposal.algorithm = solution.algorithm;
-  proposal.solve_seconds = solution.solve_seconds;
+  proposal.solve_seconds = solve_seconds;
   proposal.effort = solution.effort;
-  proposal.partial = solution.partial;
+  proposal.partial = solution.partial();
   proposal.stop = solution.stop;
   return proposal;
 }

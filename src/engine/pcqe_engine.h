@@ -88,6 +88,7 @@ struct StrategyProposal {
   std::vector<IncrementAction> actions;
   /// Which algorithm produced the plan, with its diagnostics.
   std::string algorithm;
+  /// Wall-clock time of the solver call, as timed by the engine.
   double solve_seconds = 0.0;
   /// Search-effort counters of the solve that produced `actions`
   /// (deterministic at any lane count; see `SolverEffort`).

@@ -1,7 +1,5 @@
 #include "strategy/brute_force.h"
 
-#include "common/stopwatch.h"
-
 namespace pcqe {
 
 namespace {
@@ -12,13 +10,11 @@ class BruteForcer {
       : problem_(problem), options_(options), state_(problem) {}
 
   Result<IncrementSolution> Run() {
-    Stopwatch timer;
     // Seed "best" with the do-nothing assignment so infeasible problems
     // still return the cheapest best-satisfaction attempt found.
     best_ = MakeSolution(state_, "brute_force");
     PCQE_RETURN_NOT_OK(Recurse(0));
-    best_.solve_seconds = timer.ElapsedSeconds();
-    best_.nodes_explored = visited_;
+    best_.effort.nodes_expanded = visited_;
     return best_;
   }
 
@@ -55,11 +51,7 @@ class BruteForcer {
                (state_.total_satisfied() == best_.satisfied_results &&
                 state_.total_cost() < best_.total_cost - kEpsilon);
     }
-    if (better) {
-      IncrementSolution candidate = MakeSolution(state_, "brute_force");
-      candidate.nodes_explored = visited_;
-      best_ = std::move(candidate);
-    }
+    if (better) best_ = MakeSolution(state_, "brute_force");
   }
 
   const IncrementProblem& problem_;

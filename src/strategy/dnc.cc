@@ -9,17 +9,11 @@
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace pcqe {
 
 namespace {
-
-SolveStop DncStopFrom(StopCause cause) {
-  return cause == StopCause::kCancelled ? SolveStop::kCancelled
-                                        : SolveStop::kDeadline;
-}
 
 /// Whether the budget is spent, read straight off the deadline and the
 /// cancel flag. Unlike `SolveControl::StopNow` this consumes no injected
@@ -111,6 +105,26 @@ GreedyOptions SequentialGreedy(const DncOptions& options) {
   return greedy;
 }
 
+/// The τ-bounded exact pass over a group sub-problem: one-lane
+/// branch-and-bound under the D&C node budget and deadline, seeded with
+/// `upper_bound` (and `assignment`, when given). Merges its effort into
+/// `effort`; the caller decides whether the result replaces its greedy plan.
+Result<IncrementSolution> SolveExactTail(const IncrementProblem& sub,
+                                         const DncOptions& options, double upper_bound,
+                                         std::optional<std::vector<double>> assignment,
+                                         SolverEffort* effort) {
+  HeuristicOptions h;
+  h.initial_upper_bound = upper_bound;
+  h.initial_assignment = std::move(assignment);
+  h.max_nodes = options.heuristic_max_nodes;
+  h.deadline = options.deadline;
+  h.cancel = options.cancel;
+  h.parallelism.threads = 1;
+  PCQE_ASSIGN_OR_RETURN(IncrementSolution exact, SolveHeuristic(sub, h));
+  effort->MergeFrom(exact.effort);
+  return exact;
+}
+
 struct GroupCurve {
   std::vector<uint32_t> sub_bases;
   std::vector<GreedyCheckpoint> checkpoints;
@@ -119,24 +133,20 @@ struct GroupCurve {
 /// Builds one group's marginal-cost curve (greedy checkpoints toward full
 /// in-group satisfaction, with the bounded exact tail replacement for small
 /// groups). Reads `global` only — a pure function of (problem, global,
-/// group) — so curves for many groups can be built concurrently. Returns
-/// the sub-solver iteration count and accumulates the sub-solver effort
-/// into `effort`; a curve with no checkpoints means the group has nothing
-/// to contribute.
-Result<size_t> BuildGroupCurve(const IncrementProblem& problem,
-                               const ConfidenceState& global,
-                               const PartitionGroup& group,
-                               const DncOptions& options, GroupCurve* out,
-                               SolverEffort* effort) {
-  size_t iterations = 0;
+/// group) — so curves for many groups can be built concurrently.
+/// Accumulates the sub-solver effort into `effort`; a curve with no
+/// checkpoints means the group has nothing to contribute.
+Status BuildGroupCurve(const IncrementProblem& problem, const ConfidenceState& global,
+                       const PartitionGroup& group, const DncOptions& options,
+                       GroupCurve* out, SolverEffort* effort) {
   PCQE_INJECT_FAULT(fault_sites::kDncGroup);
   // A spent budget contributes no curve: the groups already built are the
   // anytime result.
-  if (BudgetSpent(options)) return iterations;
+  if (BudgetSpent(options)) return Status::OK();
   PCQE_ASSIGN_OR_RETURN(GroupWork work,
                         CollectGroup(problem, global, group,
                                      /*respect_deficit=*/false));
-  if (work.sub_lineages.empty()) return iterations;
+  if (work.sub_lineages.empty()) return Status::OK();
   // Target everything in the group; the combiner decides how much to use.
   std::vector<size_t> all(work.sub_available.begin(), work.sub_available.end());
   PCQE_ASSIGN_OR_RETURN(IncrementProblem sub,
@@ -144,23 +154,16 @@ Result<size_t> BuildGroupCurve(const IncrementProblem& problem,
   ConfidenceState sub_state(sub);
   GroupCurve curve;
   curve.sub_bases = work.sub_bases;
-  iterations +=
-      GreedyRaise(&sub_state, SequentialGreedy(options), &curve.checkpoints, effort);
+  GreedyRaise(&sub_state, SequentialGreedy(options), &curve.checkpoints, effort);
 
   // Small groups: replace the full-satisfaction tail with the exact
   // search, seeded by the greedy incumbent (Figure 10's bounded
   // heuristic refinement).
   if (options.tau > 0 && sub.num_base_tuples() < options.tau && sub.is_monotone() &&
       !curve.checkpoints.empty() && sub_state.Feasible()) {
-    HeuristicOptions h;
-    h.initial_upper_bound = sub_state.total_cost();
-    h.max_nodes = options.heuristic_max_nodes;
-    h.deadline = options.deadline;
-    h.cancel = options.cancel;
-    h.parallelism.threads = 1;
-    PCQE_ASSIGN_OR_RETURN(IncrementSolution exact, SolveHeuristic(sub, h));
-    iterations += exact.nodes_explored;
-    effort->MergeFrom(exact.effort);
+    PCQE_ASSIGN_OR_RETURN(
+        IncrementSolution exact,
+        SolveExactTail(sub, options, sub_state.total_cost(), std::nullopt, effort));
     GreedyCheckpoint& tail = curve.checkpoints.back();
     if (exact.feasible && exact.total_cost < tail.cost - kEpsilon) {
       tail.cost = exact.total_cost;
@@ -173,7 +176,7 @@ Result<size_t> BuildGroupCurve(const IncrementProblem& problem,
     }
   }
   if (!curve.checkpoints.empty()) *out = std::move(curve);
-  return iterations;
+  return Status::OK();
 }
 
 /// Single-query path: build a marginal-cost curve per group (greedy
@@ -187,34 +190,26 @@ Result<size_t> BuildGroupCurve(const IncrementProblem& problem,
 /// slot — effort counters included — and is consumed in group order, making
 /// the combine, the final assignment, and the counters identical to the
 /// sequential pass.
-Result<size_t> SolveSingleQuery(const IncrementProblem& problem, ConfidenceState* global,
-                                const std::vector<PartitionGroup>& groups,
-                                const DncOptions& options, SolverEffort* effort,
-                                SolveControl* control) {
+Status SolveSingleQuery(const IncrementProblem& problem, ConfidenceState* global,
+                        const std::vector<PartitionGroup>& groups,
+                        const DncOptions& options, SolverEffort* effort,
+                        SolveControl* control) {
   // Phase-boundary poll; the per-group curve builds observe the budget
   // internally via their greedy/heuristic options.
-  if (control->StopNow()) return static_cast<size_t>(0);
+  if (control->StopNow()) return Status::OK();
   std::vector<GroupCurve> built(groups.size());
-  std::vector<size_t> built_iterations(groups.size(), 0);
   std::vector<SolverEffort> built_effort(groups.size());
   std::vector<Status> built_status(groups.size());
   const ConfidenceState& frozen = *global;
   ParallelFor(options.parallelism, groups.size(), [&](size_t g) {
-    Result<size_t> r = BuildGroupCurve(problem, frozen, groups[g], options, &built[g],
-                                       &built_effort[g]);
-    if (r.ok()) {
-      built_iterations[g] = *r;
-    } else {
-      built_status[g] = r.status();
-    }
+    built_status[g] = BuildGroupCurve(problem, frozen, groups[g], options, &built[g],
+                                      &built_effort[g]);
   });
 
-  size_t iterations = 0;
   std::vector<GroupCurve> curves;
   curves.reserve(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     if (!built_status[g].ok()) return built_status[g];
-    iterations += built_iterations[g];
     effort->MergeFrom(built_effort[g]);
     if (!built[g].checkpoints.empty()) curves.push_back(std::move(built[g]));
   }
@@ -264,7 +259,7 @@ Result<size_t> SolveSingleQuery(const IncrementProblem& problem, ConfidenceState
       }
     }
   }
-  return iterations;
+  return Status::OK();
 }
 
 /// One group's sub-solve against a frozen view of the global state (the
@@ -273,7 +268,6 @@ struct GroupSolve {
   bool skip = true;  ///< nothing in the group can still help
   GroupWork work;
   IncrementSolution solution;
-  size_t iterations = 0;
   SolverEffort effort;  ///< sub-solver effort (greedy + bounded exact tail)
 };
 
@@ -299,20 +293,12 @@ Result<GroupSolve> SolveOneGroup(const IncrementProblem& problem,
 
   PCQE_ASSIGN_OR_RETURN(IncrementSolution sub_solution,
                         SolveGreedy(sub, SequentialGreedy(options)));
-  out.iterations += sub_solution.nodes_explored;
   out.effort.MergeFrom(sub_solution.effort);
 
   if (options.tau > 0 && sub.num_base_tuples() < options.tau && sub.is_monotone()) {
-    HeuristicOptions h;
-    h.initial_upper_bound = sub_solution.total_cost;
-    h.initial_assignment = sub_solution.new_confidence;
-    h.max_nodes = options.heuristic_max_nodes;
-    h.deadline = options.deadline;
-    h.cancel = options.cancel;
-    h.parallelism.threads = 1;
-    PCQE_ASSIGN_OR_RETURN(IncrementSolution exact, SolveHeuristic(sub, h));
-    out.iterations += exact.nodes_explored;
-    out.effort.MergeFrom(exact.effort);
+    PCQE_ASSIGN_OR_RETURN(IncrementSolution exact,
+                          SolveExactTail(sub, options, sub_solution.total_cost,
+                                         sub_solution.new_confidence, &out.effort));
     bool better = (exact.feasible && !sub_solution.feasible) ||
                   (exact.feasible == sub_solution.feasible &&
                    exact.total_cost < sub_solution.total_cost - kEpsilon);
@@ -358,101 +344,68 @@ bool GroupViewUnchanged(const IncrementProblem& problem, const PartitionGroup& g
 /// much of the remaining per-query deficits as it can), processed in
 /// fixed-width waves of `kDncWaveWidth` groups.
 ///
-/// Parallel lanes speculate: a wave of groups is solved concurrently
-/// against one snapshot of the global state, then applied in group order.
-/// Groups whose view the earlier applies invalidated (a shared base tuple
-/// on a group boundary, or a deficit another group just covered) are
-/// re-solved inline against the live state, so the applied sequence — and
-/// the iteration count — is exactly the sequential one. A single lane
-/// solves each group against the live state directly, but still takes the
-/// wave-start snapshot and counts the same invalidations (a live solve of
-/// an unchanged-view group is byte-identical to the speculative one, and an
-/// invalidated group's live solve is exactly the parallel path's redo), so
-/// every `SolverEffort` counter matches at any lane count.
-Result<size_t> SolveMultiQuery(const IncrementProblem& problem, ConfidenceState* global,
-                               const std::vector<PartitionGroup>& groups,
-                               const DncOptions& options, SolverEffort* effort,
-                               SolveControl* control) {
-  size_t iterations = 0;
-  const size_t lanes = options.parallelism.Resolve();
+/// With more than one lane a wave is first solved speculatively, all its
+/// groups concurrently against one wave-start snapshot of the global state.
+/// Then, at any lane count, the wave is applied in group order: a group
+/// whose view earlier applies changed (a shared base tuple on a group
+/// boundary, or a deficit another group just covered) counts an
+/// invalidation and is solved against the live state, as is every group
+/// when nothing was speculated. A solve against an unchanged view is
+/// byte-identical to a live one, so the applied sequence — and every
+/// `SolverEffort` counter — is the sequential fill's at any lane count; a
+/// wasted speculative solve is not counted.
+Status SolveMultiQuery(const IncrementProblem& problem, ConfidenceState* global,
+                       const std::vector<PartitionGroup>& groups,
+                       const DncOptions& options, SolverEffort* effort,
+                       SolveControl* control) {
+  const bool speculate = options.parallelism.Resolve() > 1;
   size_t g = 0;
   while (g < groups.size()) {
     if (global->Feasible()) break;
     // Wave-boundary poll: the merged state so far is the anytime result.
     if (control->StopNow()) break;
 
-    const size_t wave_end = std::min(g + kDncWaveWidth, groups.size());
-    const size_t wave_size = wave_end - g;
+    const size_t wave_size = std::min(g + kDncWaveWidth, groups.size()) - g;
     ++effort->dnc_waves;
     const ConfidenceState snapshot = *global;
-
-    if (lanes <= 1) {
-      for (size_t w = 0; w < wave_size; ++w, ++g) {
-        if (global->Feasible()) return iterations;
-        if (!GroupViewUnchanged(problem, groups[g], snapshot, *global)) {
-          ++effort->dnc_invalidations;
-        }
-        PCQE_ASSIGN_OR_RETURN(GroupSolve solve,
-                              SolveOneGroup(problem, *global, groups[g], options));
-        iterations += solve.iterations;
-        effort->MergeFrom(solve.effort);
-        if (!solve.skip) {
-          ++effort->dnc_groups_solved;
-          ApplyGroupSolution(global, solve);
-        }
-      }
-      continue;
-    }
-
     std::vector<GroupSolve> wave(wave_size);
     std::vector<Status> wave_status(wave_size);
-    ParallelFor(options.parallelism, wave_size, [&](size_t w) {
-      Result<GroupSolve> r = SolveOneGroup(problem, snapshot, groups[g + w], options);
-      if (r.ok()) {
-        wave[w] = std::move(*r);
-      } else {
-        wave_status[w] = r.status();
-      }
-    });
+    if (speculate) {
+      ParallelFor(options.parallelism, wave_size, [&](size_t w) {
+        Result<GroupSolve> r = SolveOneGroup(problem, snapshot, groups[g + w], options);
+        if (r.ok()) {
+          wave[w] = std::move(*r);
+        } else {
+          wave_status[w] = r.status();
+        }
+      });
+    }
 
     for (size_t w = 0; w < wave_size; ++w, ++g) {
-      if (global->Feasible()) return iterations;
+      if (global->Feasible()) return Status::OK();
       if (!wave_status[w].ok()) return wave_status[w];
-      if (GroupViewUnchanged(problem, groups[g], snapshot, *global)) {
-        iterations += wave[w].iterations;
-        effort->MergeFrom(wave[w].effort);
-        if (!wave[w].skip) {
-          ++effort->dnc_groups_solved;
-          ApplyGroupSolution(global, wave[w]);
-        }
-      } else {
-        // Speculation invalidated by an earlier apply in this wave; the
-        // wasted lane is not counted — redo against the live state, which
-        // is what the sequential fill would have computed here.
-        ++effort->dnc_invalidations;
-        PCQE_ASSIGN_OR_RETURN(GroupSolve redo,
-                              SolveOneGroup(problem, *global, groups[g], options));
-        iterations += redo.iterations;
-        effort->MergeFrom(redo.effort);
-        if (!redo.skip) {
-          ++effort->dnc_groups_solved;
-          ApplyGroupSolution(global, redo);
-        }
+      const bool unchanged = GroupViewUnchanged(problem, groups[g], snapshot, *global);
+      if (!unchanged) ++effort->dnc_invalidations;
+      if (!speculate || !unchanged) {
+        PCQE_ASSIGN_OR_RETURN(wave[w], SolveOneGroup(problem, *global, groups[g], options));
+      }
+      effort->MergeFrom(wave[w].effort);
+      if (!wave[w].skip) {
+        ++effort->dnc_groups_solved;
+        ApplyGroupSolution(global, wave[w]);
       }
     }
   }
-  return iterations;
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<IncrementSolution> SolveDnc(const IncrementProblem& problem,
                                    const DncOptions& options) {
-  Stopwatch timer;
   SolveControl control(options.deadline, options.cancel,
                        fault_sites::kDncDeadline);
   ConfidenceState global(problem);
-  size_t total_iterations = 0;
   SolverEffort effort;
 
   // Deadline-bounded greedy priming (as in SolveHeuristic): under a finite
@@ -468,7 +421,6 @@ Result<IncrementSolution> SolveDnc(const IncrementProblem& problem,
     GreedyOptions primer = WithDncBudget(options.greedy, options);
     primer.parallelism = options.parallelism;
     PCQE_ASSIGN_OR_RETURN(IncrementSolution primed, SolveGreedy(problem, primer));
-    total_iterations += primed.nodes_explored;
     effort.MergeFrom(primed.effort);
     if (primed.feasible) incumbent = std::move(primed);
   }
@@ -477,21 +429,17 @@ Result<IncrementSolution> SolveDnc(const IncrementProblem& problem,
   if (!global.Feasible() && !BudgetSpent(options)) {
     std::vector<PartitionGroup> groups = PartitionResults(problem, options.partition);
 
-    Result<size_t> solved =
+    PCQE_RETURN_NOT_OK(
         problem.num_queries() == 1 && problem.is_monotone()
             ? SolveSingleQuery(problem, &global, groups, options, &effort, &control)
-            : SolveMultiQuery(problem, &global, groups, options, &effort, &control);
-    if (!solved.ok()) return solved.status();
-    total_iterations += *solved;
+            : SolveMultiQuery(problem, &global, groups, options, &effort, &control));
 
     // Top-up: per-group curves can leave a residual deficit (a group's
     // greedy stalled, or rounding in package sizes); close it globally.
     if (!global.Feasible() && !control.StopNow()) {
       GreedyOptions top_up = WithDncBudget(options.greedy, options);
       top_up.parallelism = options.parallelism;
-      size_t top_up_iterations = GreedyRaise(&global, top_up);
-      total_iterations += top_up_iterations;
-      effort.dnc_topup_iterations += top_up_iterations;
+      effort.dnc_topup_iterations += GreedyRaise(&global, top_up);
     }
 
     // Global refinement over the combined assignment (phase-2 style).
@@ -502,29 +450,21 @@ Result<IncrementSolution> SolveDnc(const IncrementProblem& problem,
   }
 
   IncrementSolution out = MakeSolution(global, "dnc");
-  out.nodes_explored = total_iterations;
   out.effort = effort;
-  out.solve_seconds = timer.ElapsedSeconds();
   // Final poll: a budget that expired anywhere — including inside a group's
   // greedy/exact sub-solve, which shares the same absolute deadline — tags
   // the merged result partial. This is deliberately the last probe of the
   // solve, so tests can position an injected expiry at the very end.
   if (control.StopNow()) {
-    out.stop = DncStopFrom(control.cause());
-    out.partial = true;
-    out.search_complete = false;
+    out.stop = control.cause();
     // A stopped fill that never reached feasibility loses to the greedy
     // incumbent: return the feasible plan (still tagged partial — it makes
     // no optimality claim) instead of the infeasible merged state.
     if (!out.feasible && incumbent.has_value()) {
       IncrementSolution fallback = std::move(*incumbent);
       fallback.algorithm = out.algorithm;
-      fallback.nodes_explored = total_iterations;
       fallback.effort = effort;
-      fallback.solve_seconds = timer.ElapsedSeconds();
       fallback.stop = out.stop;
-      fallback.partial = true;
-      fallback.search_complete = false;
       return fallback;
     }
   }

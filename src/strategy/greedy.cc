@@ -7,7 +7,6 @@
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
-#include "common/stopwatch.h"
 
 namespace pcqe {
 
@@ -17,11 +16,6 @@ namespace {
 /// checked every iteration, the clock (and any armed injector) every
 /// `kGreedyDeadlineStride` iterations.
 constexpr uint32_t kGreedyDeadlineStride = 16;
-
-SolveStop GreedyStopFrom(StopCause cause) {
-  return cause == StopCause::kCancelled ? SolveStop::kCancelled
-                                        : SolveStop::kDeadline;
-}
 
 /// Whether base `i` can still be raised by a step.
 bool CanIncrement(const ConfidenceState& state, size_t i) {
@@ -147,7 +141,7 @@ size_t GreedyRaise(ConfidenceState* state_ptr, const GreedyOptions& options,
                        fault_sites::kGreedyDeadline);
   auto note_stop = [&]() {
     if (stop != nullptr && control.stopped()) {
-      *stop = GreedyStopFrom(control.cause());
+      *stop = control.cause();
     }
   };
   size_t max_iterations = options.max_iterations;
@@ -323,14 +317,13 @@ size_t GreedyRaise(ConfidenceState* state_ptr, const GreedyOptions& options,
 
 Result<IncrementSolution> SolveGreedy(const IncrementProblem& problem,
                                       const GreedyOptions& options) {
-  Stopwatch timer;
   PCQE_INJECT_FAULT(fault_sites::kGreedySolve);
   ConfidenceState state(problem);
   SolverEffort effort;
 
   // ---- Phase 1: aggressive increase. ----
   SolveStop stop = SolveStop::kComplete;
-  size_t iterations = GreedyRaise(&state, options, nullptr, &effort, &stop);
+  GreedyRaise(&state, options, nullptr, &effort, &stop);
 
   // ---- Phase 2: walk unnecessary increments back down. ----
   SolveControl control(options.deadline, options.cancel,
@@ -342,16 +335,12 @@ Result<IncrementSolution> SolveGreedy(const IncrementProblem& problem,
   // still tags the result partial: feasibility holds, but the refinement
   // makes no minimality claim.
   if (stop == SolveStop::kComplete && control.StopNow()) {
-    stop = GreedyStopFrom(control.cause());
+    stop = control.cause();
   }
 
   IncrementSolution out = MakeSolution(state, options.two_phase ? "greedy" : "greedy_1p");
-  out.nodes_explored = iterations;
   out.effort = effort;
-  out.solve_seconds = timer.ElapsedSeconds();
   out.stop = stop;
-  out.partial = stop != SolveStop::kComplete;
-  out.search_complete = !out.partial;
   return out;
 }
 

@@ -9,7 +9,6 @@
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "strategy/greedy.h"
 
@@ -75,11 +74,6 @@ struct SearchBudget {
   bool stopped() const { return stop.load(std::memory_order_relaxed) != 0; }
 };
 
-SolveStop FromStopCause(StopCause cause) {
-  return cause == StopCause::kCancelled ? SolveStop::kCancelled
-                                        : SolveStop::kDeadline;
-}
-
 /// Outcome of exploring one root step (one wave unit).
 struct UnitResult {
   std::vector<double> best_assignment;
@@ -136,7 +130,7 @@ class SearchWorker {
     // budget is observed within ~1024 shared node expansions at any lane
     // count (plus the wave-boundary check in SolveHeuristic).
     if ((total_nodes & 0x3FF) == 0 && control_->StopNow()) {
-      return FromStopCause(control_->cause());
+      return control_->cause();
     }
     return SolveStop::kComplete;
   }
@@ -254,7 +248,6 @@ double CostBeta(const IncrementProblem& problem, size_t base_index) {
 
 Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
                                          const HeuristicOptions& options) {
-  Stopwatch timer;
   SolveControl control(options.deadline, options.cancel,
                        fault_sites::kHeuristicDeadline);
   if (!problem.is_monotone()) {
@@ -266,9 +259,7 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
   ConfidenceState initial_state(problem);
   if (initial_state.Feasible()) {
     // Already satisfied with no spend.
-    IncrementSolution out = MakeSolution(initial_state, "heuristic");
-    out.solve_seconds = timer.ElapsedSeconds();
-    return out;
+    return MakeSolution(initial_state, "heuristic");
   }
   {
     // Global feasibility check: everything at its ceiling.
@@ -278,9 +269,7 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
     }
     if (!ceiling_state.Feasible()) {
       // Infeasible even at every ceiling: report the do-nothing assignment.
-      IncrementSolution out = MakeSolution(initial_state, "heuristic");
-      out.solve_seconds = timer.ElapsedSeconds();
-      return out;
+      return MakeSolution(initial_state, "heuristic");
     }
   }
 
@@ -307,12 +296,7 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
       if (options.deadline.RemainingSeconds() < kPrimedSearchMinSeconds) {
         primed.algorithm = "heuristic";
         primed.effort = effort;
-        primed.solve_seconds = timer.ElapsedSeconds();
-        if (!primed.partial) {
-          primed.partial = true;
-          primed.stop = SolveStop::kDeadline;
-          primed.search_complete = false;
-        }
+        if (!primed.partial()) primed.stop = SolveStop::kDeadline;
         return primed;
       }
       best_cost = primed.total_cost;
@@ -378,7 +362,7 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
     // per-1024-node check, and an already-expired deadline must stop the
     // search before the first expansion.
     if (control.StopNow()) {
-      budget.RecordStop(FromStopCause(control.cause()));
+      budget.RecordStop(control.cause());
       break;
     }
     PCQE_INJECT_FAULT(fault_sites::kHeuristicWave);
@@ -427,12 +411,8 @@ Result<IncrementSolution> SolveHeuristic(const IncrementProblem& problem,
   } else {
     out = MakeSolution(initial_state, "heuristic");  // infeasible best effort
   }
-  out.nodes_explored = effort.nodes_expanded;
   out.effort = effort;
-  out.solve_seconds = timer.ElapsedSeconds();
   out.stop = static_cast<SolveStop>(budget.stop.load());
-  out.partial = out.stop != SolveStop::kComplete;
-  out.search_complete = !out.partial;
   return out;
 }
 

@@ -49,8 +49,8 @@ struct HeuristicOptions {
   std::optional<double> initial_upper_bound;
   std::optional<std::vector<double>> initial_assignment;
 
-  /// Node budget; on exhaustion the best incumbent is returned with
-  /// `search_complete = false` / `partial = true`. Shared across lanes.
+  /// Node budget; on exhaustion the best incumbent is returned tagged
+  /// `SolveStop::kNodeBudget` (partial). Shared across lanes.
   size_t max_nodes = 500'000'000;
   /// Absolute budget: the only way wall clock enters the search. On expiry
   /// the search stops within a bounded number of node expansions (checked

@@ -1,53 +1,51 @@
 #include "strategy/solution.h"
 
+#include <iterator>
+
 #include "common/string_util.h"
 
 namespace pcqe {
 
-std::string_view SolveStopToString(SolveStop stop) {
-  switch (stop) {
-    case SolveStop::kComplete: return "complete";
-    case SolveStop::kNodeBudget: return "node_budget";
-    case SolveStop::kDeadline: return "deadline";
-    case SolveStop::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
+namespace {
+
+/// The one list of `SolverEffort` counters, in declaration order.
+struct EffortField {
+  const char* name;
+  uint64_t SolverEffort::*member;
+};
+
+constexpr EffortField kEffortFields[] = {
+    {"nodes_expanded", &SolverEffort::nodes_expanded},
+    {"incumbent_prunes", &SolverEffort::incumbent_prunes},
+    {"h2_prunes", &SolverEffort::h2_prunes},
+    {"h3_prunes", &SolverEffort::h3_prunes},
+    {"h4_prunes", &SolverEffort::h4_prunes},
+    {"incumbent_updates", &SolverEffort::incumbent_updates},
+    {"costbeta_evals", &SolverEffort::costbeta_evals},
+    {"greedy_phase1_iterations", &SolverEffort::greedy_phase1_iterations},
+    {"greedy_phase2_steps", &SolverEffort::greedy_phase2_steps},
+    {"greedy_fallback_picks", &SolverEffort::greedy_fallback_picks},
+    {"greedy_stale_recomputes", &SolverEffort::greedy_stale_recomputes},
+    {"dnc_groups_solved", &SolverEffort::dnc_groups_solved},
+    {"dnc_waves", &SolverEffort::dnc_waves},
+    {"dnc_invalidations", &SolverEffort::dnc_invalidations},
+    {"dnc_topup_iterations", &SolverEffort::dnc_topup_iterations},
+};
+
+// A counter added to the struct but not to the table fails here.
+static_assert(sizeof(SolverEffort) == std::size(kEffortFields) * sizeof(uint64_t));
+
+}  // namespace
 
 void SolverEffort::MergeFrom(const SolverEffort& other) {
-  nodes_expanded += other.nodes_expanded;
-  incumbent_prunes += other.incumbent_prunes;
-  h2_prunes += other.h2_prunes;
-  h3_prunes += other.h3_prunes;
-  h4_prunes += other.h4_prunes;
-  incumbent_updates += other.incumbent_updates;
-  costbeta_evals += other.costbeta_evals;
-  greedy_phase1_iterations += other.greedy_phase1_iterations;
-  greedy_phase2_steps += other.greedy_phase2_steps;
-  greedy_fallback_picks += other.greedy_fallback_picks;
-  greedy_stale_recomputes += other.greedy_stale_recomputes;
-  dnc_groups_solved += other.dnc_groups_solved;
-  dnc_waves += other.dnc_waves;
-  dnc_invalidations += other.dnc_invalidations;
-  dnc_topup_iterations += other.dnc_topup_iterations;
+  for (const EffortField& f : kEffortFields) this->*f.member += other.*f.member;
 }
 
 std::vector<std::pair<const char*, uint64_t>> SolverEffort::Items() const {
-  return {{"nodes_expanded", nodes_expanded},
-          {"incumbent_prunes", incumbent_prunes},
-          {"h2_prunes", h2_prunes},
-          {"h3_prunes", h3_prunes},
-          {"h4_prunes", h4_prunes},
-          {"incumbent_updates", incumbent_updates},
-          {"costbeta_evals", costbeta_evals},
-          {"greedy_phase1_iterations", greedy_phase1_iterations},
-          {"greedy_phase2_steps", greedy_phase2_steps},
-          {"greedy_fallback_picks", greedy_fallback_picks},
-          {"greedy_stale_recomputes", greedy_stale_recomputes},
-          {"dnc_groups_solved", dnc_groups_solved},
-          {"dnc_waves", dnc_waves},
-          {"dnc_invalidations", dnc_invalidations},
-          {"dnc_topup_iterations", dnc_topup_iterations}};
+  std::vector<std::pair<const char*, uint64_t>> items;
+  items.reserve(std::size(kEffortFields));
+  for (const EffortField& f : kEffortFields) items.emplace_back(f.name, this->*f.member);
+  return items;
 }
 
 std::vector<IncrementAction> IncrementSolution::Actions(
@@ -65,17 +63,17 @@ std::vector<IncrementAction> IncrementSolution::Actions(
 }
 
 std::string IncrementSolution::ToString(const IncrementProblem& problem) const {
-  std::string partial_note;
-  if (partial) {
-    partial_note = StrFormat(", partial (%.*s)",
-                             static_cast<int>(SolveStopToString(stop).size()),
-                             SolveStopToString(stop).data());
+  const std::string_view stop_name = SolveStopToString(stop);
+  std::string out = StrFormat("%s: cost=%s, satisfied=%zu, feasible=%s, stop=%.*s",
+                              algorithm.c_str(), FormatDouble(total_cost, 4).c_str(),
+                              satisfied_results, feasible ? "yes" : "no",
+                              static_cast<int>(stop_name.size()), stop_name.data());
+  for (const auto& [name, value] : effort.Items()) {
+    if (value != 0) {
+      out += StrFormat(" %s=%llu", name, static_cast<unsigned long long>(value));
+    }
   }
-  std::string out =
-      StrFormat("%s: cost=%s, satisfied=%zu, feasible=%s%s (%.3fs, %zu nodes)\n",
-                algorithm.c_str(), FormatDouble(total_cost, 4).c_str(), satisfied_results,
-                feasible ? "yes" : "no", partial_note.c_str(),
-                solve_seconds, nodes_explored);
+  out += "\n";
   for (const IncrementAction& a : Actions(problem)) {
     out += StrFormat("  tuple %llu: %s -> %s (cost %s)\n",
                      static_cast<unsigned long long>(a.base_tuple),

@@ -6,10 +6,10 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/result.h"
 #include "strategy/problem.h"
 
@@ -18,12 +18,16 @@ namespace pcqe {
 /// \brief Search-effort counters every solver fills in alongside its
 /// solution — the telemetry layer's audit trail of *where the work went*.
 ///
-/// Determinism contract (same as cost/iterations since the parallel-solving
-/// PR): every field is bit-identical at any `SolverParallelism` lane count,
-/// provided the search ran to completion (`search_complete`). A node or
-/// wall-clock budget abort is the one exception — where the budget lands
-/// depends on scheduling. Counters are plain integers summed in a fixed
-/// order by the owning solver, never shared atomics.
+/// Determinism contract (the same as the plan's cost and assignment): every
+/// field is bit-identical at any `SolverParallelism` lane count,
+/// provided the solve ran to its natural end (`stop == kComplete`). A
+/// multi-lane node-budget abort and a `Deadline`/cancel stop are the
+/// exceptions — where the budget lands depends on scheduling. Counters are
+/// plain integers summed in a fixed order by the owning solver, never
+/// shared atomics.
+///
+/// Every counter is a `uint64_t` listed once more in solution.cc's field
+/// table, which `MergeFrom` and `Items` both walk.
 struct SolverEffort {
   /// \name Branch-and-bound (heuristic solver, also the D&C exact tails).
   /// @{
@@ -61,24 +65,6 @@ struct SolverEffort {
   bool operator==(const SolverEffort&) const = default;
 };
 
-/// \brief Why a solver returned when it did.
-///
-/// Anything other than `kComplete` marks the solution `partial`: the
-/// algorithm was stopped before its natural end and returned its best
-/// anytime state (B&B's incumbent, greedy's phase-1 state, D&C's merged
-/// partial). Partial solutions still satisfy every `ValidateSolution`
-/// invariant — the β filter is never relaxed — they just drop the
-/// optimality / full-coverage claim.
-enum class SolveStop : uint8_t {
-  kComplete = 0,    ///< natural end: the algorithm's full answer
-  kNodeBudget = 1,  ///< `max_nodes` exhausted (exact searches)
-  kDeadline = 2,    ///< the `Deadline` expired
-  kCancelled = 3,   ///< the caller's `CancelToken` fired
-};
-
-/// Canonical lowercase name ("complete", "deadline", ...).
-std::string_view SolveStopToString(SolveStop stop);
-
 /// \brief One base-tuple confidence increment in a reported plan.
 struct IncrementAction {
   LineageVarId base_tuple = 0;
@@ -87,8 +73,12 @@ struct IncrementAction {
   double cost = 0.0;
 };
 
-/// \brief Result of running a strategy-finding algorithm.
+/// \brief Result of running a strategy-finding algorithm: the plan, the
+/// effort it took, and why the solve stopped. Solvers read no clock; the
+/// engine times the solver call (`StrategyProposal::solve_seconds`).
 struct IncrementSolution {
+  /// \name The plan.
+  /// @{
   /// New confidence per base tuple (dense, parallel to the problem's base
   /// indices; >= initial confidence, on the δ grid).
   std::vector<double> new_confidence;
@@ -99,34 +89,26 @@ struct IncrementSolution {
   bool feasible = false;
   /// Results above threshold under `new_confidence` (all queries).
   size_t satisfied_results = 0;
-
-  /// \name Diagnostics.
-  /// @{
-  std::string algorithm;       ///< "heuristic", "greedy", "dnc", "brute_force"
-  double solve_seconds = 0.0;  ///< wall-clock solve time
-  size_t nodes_explored = 0;   ///< search-tree nodes (B&B) or iterations (greedy)
-  /// Detailed search-effort counters (see SolverEffort for the determinism
-  /// contract). `nodes_explored` remains the headline aggregate.
-  SolverEffort effort;
-  /// False when a node/time budget stopped an exact search early, in which
-  /// case the solution is the best found so far and optimality is not
-  /// guaranteed. Kept in sync with `partial` (`search_complete == !partial`)
-  /// for callers predating the anytime contract.
-  bool search_complete = true;
-  /// Why the solve returned; anything but `kComplete` implies `partial`.
-  SolveStop stop = SolveStop::kComplete;
-  /// True when a deadline, cancellation or search budget stopped the solver
-  /// early and this is its best anytime state. Always β-compliant
-  /// (`ValidateSolution` holds), never optimal-claiming.
-  bool partial = false;
+  std::string algorithm;  ///< "heuristic", "greedy", "dnc", "brute_force"
   /// @}
+
+  /// Search-effort counters (see SolverEffort for the determinism contract).
+  SolverEffort effort;
+  /// Why the solve returned. Anything but `kComplete` means a deadline,
+  /// cancellation or search budget stopped the solver early and the plan is
+  /// its best anytime state: always β-compliant (`ValidateSolution` holds),
+  /// never optimal-claiming.
+  SolveStop stop = SolveStop::kComplete;
+
+  bool partial() const { return stop != SolveStop::kComplete; }
 
   /// The non-trivial increments, for reporting to the user (paper: "the
   /// increment cost and the data whose confidence needs to be improved will
   /// be reported").
   std::vector<IncrementAction> Actions(const IncrementProblem& problem) const;
 
-  /// Human-readable plan summary.
+  /// Human-readable plan summary: the plan, the stop and the non-zero
+  /// effort counters, then one line per increment.
   std::string ToString(const IncrementProblem& problem) const;
 };
 

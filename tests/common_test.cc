@@ -285,7 +285,7 @@ TEST(SolveControlTest, InertControlNeverStops) {
   EXPECT_FALSE(control.active());
   EXPECT_FALSE(control.StopNow());
   EXPECT_FALSE(control.CheckEvery(1));
-  EXPECT_EQ(control.cause(), StopCause::kNone);
+  EXPECT_EQ(control.cause(), SolveStop::kComplete);
 }
 
 TEST(SolveControlTest, LatchesFirstCauseAndStaysStopped) {
@@ -295,18 +295,18 @@ TEST(SolveControlTest, LatchesFirstCauseAndStaysStopped) {
   // Cancellation is checked before the (already expired) deadline.
   token.RequestCancel();
   EXPECT_TRUE(control.StopNow());
-  EXPECT_EQ(control.cause(), StopCause::kCancelled);
+  EXPECT_EQ(control.cause(), SolveStop::kCancelled);
   token.Reset();
   // The cause is latched: resetting the token does not un-stop the control.
   EXPECT_TRUE(control.StopNow());
   EXPECT_TRUE(control.stopped());
-  EXPECT_EQ(control.cause(), StopCause::kCancelled);
+  EXPECT_EQ(control.cause(), SolveStop::kCancelled);
 }
 
 TEST(SolveControlTest, ExpiredDeadlineStopsWithDeadlineCause) {
   SolveControl control(Deadline::AfterMillis(-1), nullptr);
   EXPECT_TRUE(control.StopNow());
-  EXPECT_EQ(control.cause(), StopCause::kDeadline);
+  EXPECT_EQ(control.cause(), SolveStop::kDeadline);
 }
 
 TEST(SolveControlTest, CheckEveryPollsCancelEveryCallAndClockOnStride) {
@@ -317,7 +317,7 @@ TEST(SolveControlTest, CheckEveryPollsCancelEveryCallAndClockOnStride) {
   // The cancel flag is observed on the very next call, mid-stride.
   token.RequestCancel();
   EXPECT_TRUE(control.CheckEvery(16));
-  EXPECT_EQ(control.cause(), StopCause::kCancelled);
+  EXPECT_EQ(control.cause(), SolveStop::kCancelled);
 }
 
 class FaultInjectorTest : public ::testing::Test {
@@ -401,7 +401,7 @@ TEST_F(FaultInjectorTest, ArmedSiteActivatesSolveControl) {
   ASSERT_TRUE(control.active());
   EXPECT_FALSE(control.StopNow());
   EXPECT_TRUE(control.StopNow());
-  EXPECT_EQ(control.cause(), StopCause::kDeadline);
+  EXPECT_EQ(control.cause(), SolveStop::kDeadline);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

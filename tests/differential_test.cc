@@ -137,7 +137,7 @@ TEST(DifferentialTest, AllSolversAgreeWithBruteForce) {
       ASSERT_TRUE(solved.ok()) << solved.status().ToString();
       Status valid = ValidateSolution(*problem, *solved);
       ASSERT_TRUE(valid.ok()) << valid.ToString();
-      EXPECT_FALSE(solved->partial);
+      EXPECT_FALSE(solved->partial());
       EXPECT_EQ(solved->stop, SolveStop::kComplete);
 
       // Monotone instances: feasibility is decidable by the ceiling, which
@@ -199,7 +199,7 @@ TEST(DifferentialTest, DeadlineBoundedDncMatchesBruteFeasibility) {
       Status valid = ValidateSolution(*problem, *dnc);
       ASSERT_TRUE(valid.ok()) << valid.ToString();
       EXPECT_EQ(dnc->feasible, brute->feasible);
-      EXPECT_EQ(dnc->partial, cut);
+      EXPECT_EQ(dnc->partial(), cut);
       if (brute->feasible) {
         EXPECT_GE(dnc->total_cost, brute->total_cost - 1e-6);
         EXPECT_LE(dnc->total_cost, CeilingCost(*problem) + 1e-6);

@@ -326,6 +326,51 @@ TEST_F(PcqeEngineTest, BatchDecisionsAreCountedTracedAndAudited) {
   std::vector<std::string> children = ChildSpanNames(*trace, "complete");
   EXPECT_EQ(std::count(children.begin(), children.end(), "policy-filter"), 2);
   EXPECT_EQ(std::count(children.begin(), children.end(), "solve"), 1);
+
+  // The solve span carries exactly the plan's non-zero effort counters.
+  auto solve = std::find_if(trace->spans.begin(), trace->spans.end(),
+                            [](const Span& span) { return span.name == "solve"; });
+  ASSERT_NE(solve, trace->spans.end());
+  const auto items = plan.effort.Items();
+  std::vector<std::pair<std::string, std::string>> expected;
+  std::vector<std::pair<std::string, std::string>> annotated;
+  for (const auto& [name, value] : items) {
+    if (value != 0) expected.emplace_back(name, std::to_string(value));
+  }
+  for (const auto& note : solve->annotations) {
+    for (const auto& item : items) {
+      if (note.first == item.first) annotated.push_back(note);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(annotated, expected);
+}
+
+TEST_F(PcqeEngineTest, EngineTimesEachSolve) {
+  // Solvers read no clock; the engine times the solver call. Every proposal
+  // carries a positive solve time and adds one observation to the solve
+  // histogram, and requests that need no proposal add none.
+  TelemetryRegistry registry;
+  engine_->AttachTelemetry(&registry, nullptr);
+  QueryRequest short_request{kCandidateQuery, "mary", "investment", 1.0};
+  for (int i = 0; i < 2; ++i) {
+    QueryOutcome outcome = *engine_->Submit(short_request);
+    ASSERT_TRUE(outcome.proposal.needed);
+    EXPECT_GT(outcome.proposal.solve_seconds, 0.0);
+  }
+  EXPECT_FALSE(engine_->Submit({kCandidateQuery, "sam", "analysis", 1.0})->proposal.needed);
+
+  const std::string text = registry.RenderText();
+  auto sample = [&](const std::string& name) {
+    const std::string key = "\n" + name + " ";
+    size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos ? -1.0 : std::stod(text.substr(at + key.size()));
+  };
+  EXPECT_EQ(sample("pcqe_engine_proposals_total"), 2.0);
+  EXPECT_EQ(sample("pcqe_engine_solve_seconds_count"),
+            sample("pcqe_engine_proposals_total"));
+  EXPECT_GT(sample("pcqe_engine_solve_seconds_sum"), 0.0);
 }
 
 TEST_F(PcqeEngineTest, SubmitIsAOneRequestBatch) {

@@ -237,7 +237,7 @@ TEST_F(FaultInjectionTest, GreedyInjectedDeadlineYieldsFeasiblePartial) {
   Result<IncrementSolution> full = SolveGreedy(problem);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(full->feasible);
-  ASSERT_FALSE(full->partial);
+  ASSERT_FALSE(full->partial());
   uint64_t probes = injector.hits(fault_sites::kGreedyDeadline);
   ASSERT_GT(probes, 0u);
 
@@ -250,9 +250,8 @@ TEST_F(FaultInjectionTest, GreedyInjectedDeadlineYieldsFeasiblePartial) {
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(ValidateSolution(problem, *partial).ok());
   EXPECT_TRUE(partial->feasible);
-  EXPECT_TRUE(partial->partial);
+  EXPECT_TRUE(partial->partial());
   EXPECT_EQ(partial->stop, SolveStop::kDeadline);
-  EXPECT_FALSE(partial->search_complete);
 }
 
 TEST_F(FaultInjectionTest, DncInjectedDeadlineYieldsFeasiblePartial) {
@@ -276,7 +275,7 @@ TEST_F(FaultInjectionTest, DncInjectedDeadlineYieldsFeasiblePartial) {
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(ValidateSolution(problem, *partial).ok());
   EXPECT_TRUE(partial->feasible);
-  EXPECT_TRUE(partial->partial);
+  EXPECT_TRUE(partial->partial());
   EXPECT_EQ(partial->stop, SolveStop::kDeadline);
 }
 
@@ -296,7 +295,7 @@ TEST_F(FaultInjectionTest, HeuristicInjectedDeadlineFallsBackToIncumbent) {
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(ValidateSolution(problem, *partial).ok());
   EXPECT_TRUE(partial->feasible);
-  EXPECT_TRUE(partial->partial);
+  EXPECT_TRUE(partial->partial());
   EXPECT_EQ(partial->stop, SolveStop::kDeadline);
 }
 

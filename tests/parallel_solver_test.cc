@@ -141,11 +141,13 @@ TEST(ParallelDeterminismTest, DncSingleQueryIdenticalAt1And8) {
     IncrementSolution s = *SolveDnc(p, seq);
     IncrementSolution l = *SolveDnc(p, par);
     ExpectSameSolution(s, l, /*bit_identical=*/true, seed);
-    EXPECT_EQ(s.nodes_explored, l.nodes_explored) << "seed " << seed;
   }
 }
 
 TEST(ParallelDeterminismTest, DncMultiQueryIdenticalAt1And8) {
+  // At least one seed must invalidate a speculated group, so the apply
+  // loop's live re-solve runs at both lane counts.
+  uint64_t invalidations = 0;
   for (uint64_t seed : kSeeds) {
     WorkloadParams params = SolverParams(seed);
     params.num_results = 30;  // per query
@@ -158,8 +160,9 @@ TEST(ParallelDeterminismTest, DncMultiQueryIdenticalAt1And8) {
     IncrementSolution s = *SolveDnc(p, seq);
     IncrementSolution l = *SolveDnc(p, par);
     ExpectSameSolution(s, l, /*bit_identical=*/true, seed);
-    EXPECT_EQ(s.nodes_explored, l.nodes_explored) << "seed " << seed;
+    invalidations += s.effort.dnc_invalidations;
   }
+  EXPECT_GT(invalidations, 0u);
 }
 
 TEST(ParallelDeterminismTest, DncNodeBudgetStopIdenticalAcrossRunsAndLanes) {
@@ -184,7 +187,6 @@ TEST(ParallelDeterminismTest, DncNodeBudgetStopIdenticalAcrossRunsAndLanes) {
       par.parallelism.threads = lanes;
       IncrementSolution l = *SolveDnc(p, par);
       ExpectSameSolution(reference, l, /*bit_identical=*/true, seed);
-      EXPECT_EQ(reference.nodes_explored, l.nodes_explored) << "seed " << seed;
     }
   }
 }
@@ -207,11 +209,9 @@ TEST(ParallelDeterminismTest, HeuristicCostIdenticalAt1And8) {
     IncrementSolution l = *SolveHeuristic(p, par);
     // Both searches run to completion, so both costs are the optimum; the
     // assignment tie-break keeps equal-cost winners deterministic too.
-    ASSERT_TRUE(s.search_complete);
-    ASSERT_TRUE(l.search_complete);
+    ASSERT_EQ(s.stop, SolveStop::kComplete);
+    ASSERT_EQ(l.stop, SolveStop::kComplete);
     ExpectSameSolution(s, l, /*bit_identical=*/false, seed);
-    // The legacy nodes_explored field is fed by the effort counter.
-    EXPECT_EQ(s.nodes_explored, s.effort.nodes_expanded) << "seed " << seed;
     EXPECT_GT(s.effort.nodes_expanded, 0u) << "seed " << seed;
     Status valid = ValidateSolution(p, l);
     EXPECT_TRUE(valid.ok()) << valid.ToString();
@@ -240,8 +240,8 @@ TEST(ParallelDeterminismTest, HeuristicGreedyBoundedIdenticalAt1And8) {
     par.parallelism.threads = 8;
     IncrementSolution s = *SolveHeuristic(p, seq);
     IncrementSolution l = *SolveHeuristic(p, par);
-    ASSERT_TRUE(s.search_complete);
-    ASSERT_TRUE(l.search_complete);
+    ASSERT_EQ(s.stop, SolveStop::kComplete);
+    ASSERT_EQ(l.stop, SolveStop::kComplete);
     ExpectSameSolution(s, l, /*bit_identical=*/false, seed);
   }
 }

@@ -83,6 +83,10 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
       deadline of their own: `Deadline::After*` in src/strategy/ is flagged,
       because a private wall-clock budget makes results and effort counters
       depend on timing. Solvers receive the caller's `Deadline` and pass it on.
+      Nor do solvers read a clock at all: `Stopwatch`, common/stopwatch.h and
+      `steady_clock`/`system_clock`/`high_resolution_clock` in src/strategy/
+      are flagged (the engine times the solver call). `Deadline` and
+      `SolveControl` calls, `RemainingSeconds()` included, stay allowed.
 
 Usage:
   pcqe_lint.py [--root DIR] [FILE...]   # lint repo (or explicit files)
@@ -122,6 +126,11 @@ DEADLINE_CMP_RE = re.compile(
 )
 # A solver arming its own relative budget (`Deadline::AfterSeconds(...)`).
 DEADLINE_ARM_RE = re.compile(r"\bDeadline::After\w*\s*\(")
+# A solver reading a clock of its own. Matched on the string-stripped code,
+# except the include, whose path is a string literal and is matched raw.
+SOLVER_CLOCK_RE = re.compile(
+    r"\bStopwatch\b|\b(?:steady|system|high_resolution)_clock\b")
+SOLVER_CLOCK_INCLUDE_RE = re.compile(r'#\s*include\s*"common/stopwatch\.h"')
 
 # The only src/ files allowed to compare a confidence against β directly:
 # the policy decision, the solvers' shared ClearsThreshold helper, and the
@@ -369,6 +378,15 @@ def lint_file(relpath, lines, status_fns):
                 "solver arms its own Deadline; solvers receive the caller's "
                 "deadline and never create one (wall clock must enter a solve "
                 "only through the request's Deadline)"))
+        if relpath.startswith("src/strategy/") and \
+                (SOLVER_CLOCK_RE.search(code) or
+                 SOLVER_CLOCK_INCLUDE_RE.search(raw)) and \
+                not _allowed(raw, "deadline"):
+            out.append(Violation(
+                relpath, i, "deadline",
+                "solver reads a clock; solvers see wall clock only through "
+                "the caller's Deadline/SolveControl, and the engine times "
+                "the solver call"))
 
         # -- discarded-status ---------------------------------------------
         if (in_src or in_tools) and not _allowed(raw, "discarded-status"):
